@@ -35,19 +35,17 @@ from .errors import (
 from .graph import QuantumGraph, contract, validate
 from .physics import (
     BarrierParams,
-    SpinChannelPair,
     barrier_smatrix,
-    double_barrier_m,
+    closed_form_amplitudes,
+    closed_form_m,
     energy_sweep,
     loss_smatrix,
-    single_barrier_m,
     translated_barrier,
 )
 from .smatrix import (
     PortSpec,
     ScatteringMatrix,
     TransferMatrix,
-    new_scattering,
     s_to_t,
     t_to_s,
 )
@@ -68,24 +66,22 @@ __all__ = [
     "ScatchanError",
     "ScatteringMatrix",
     "SeriesDivergentError",
-    "SpinChannelPair",
     "TransferMatrix",
     "Wiring",
     "barrier_smatrix",
     "capacity_bounds",
     "check_data_processing",
+    "closed_form_amplitudes",
+    "closed_form_m",
     "contract",
     "detect_superactivation",
-    "double_barrier_m",
     "energy_sweep",
     "erasure_capacity",
     "kernel_decoupling_check",
     "loop_matrix",
     "loss_smatrix",
-    "new_scattering",
     "pad_to_homogeneous",
     "s_to_t",
-    "single_barrier_m",
     "singular_probabilities",
     "star",
     "star_via_padding",

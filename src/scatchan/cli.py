@@ -6,8 +6,9 @@ Subcommands:
   star <A.json> <B.json> <wiring.json>  compose two scatterers
 
 Exit codes: 0 success, 2 malformed scenario or missing file, 3 numerical
-consistency failure.  Output bytes are deterministic for identical inputs,
-independent of --threads.
+consistency failure (including a NaN residual).  Output bytes are
+deterministic for identical inputs.  --threads is accepted for
+compatibility; sweeps run in one thread.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import capacity, channel, composer, physics
+from . import channel, composer, physics
 from .errors import InvalidInputError, ScatchanError
 from .graph import QuantumGraph, contract
 from .numerics import max_abs, operator_norm
@@ -170,80 +171,62 @@ def _sweep_inputs(sc: dict):
     return base, np.linspace(start, stop, points)
 
 
-def run_barrier_sweep(sc: dict, out_dir: str, threads: int) -> list[str]:
+def _write(out_dir: str, filename: str, text: str) -> str:
+    """Write one artifact (LF line ends) into ``out_dir``; returns its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, filename)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def run_barrier_sweep(sc: dict, out_dir: str) -> list[str]:
     base, grid = _sweep_inputs(sc)
     table = physics.energy_sweep(
-        base, grid,
-        cross_check_every=int(sc.get("cross_check_every", 100)),
-        threads=threads,
+        base, grid, cross_check_every=int(sc.get("cross_check_every", 100))
     )
     name = sc["name"]
-    os.makedirs(out_dir, exist_ok=True)
-    emitted = []
-
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table.to_csv())
-    emitted.append(csv_path)
-
-    trans_svg = svg_line_plot(
-        table.energy,
-        [
+    emitted = [_write(out_dir, f"{name}.csv", table.to_csv())]
+    plots = (
+        ("transmission", "Transmission probabilities", "transmission probability", [
             ("p up, double", table.p_up_double),
             ("p down, double", table.p_dn_double),
             ("p up, single", table.p_up_single),
             ("p down, single", table.p_dn_single),
-        ],
-        f"Transmission probabilities ({name})",
-        "E / V0", "transmission probability",
-        shade_mask=table.superactivated,
-    )
-    trans_path = os.path.join(out_dir, f"{name}_transmission.svg")
-    with open(trans_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trans_svg)
-    emitted.append(trans_path)
-
-    cap_svg = svg_line_plot(
-        table.energy,
-        [
+        ]),
+        ("capacity", "Capacity bounds", "qubits per use", [
             ("Q low, double", table.q_low_double),
             ("Q up, double", table.q_up_double),
             ("Q low, single", table.q_low_single),
             ("Q up, single", table.q_up_single),
-        ],
-        f"Capacity bounds ({name})",
-        "E / V0", "qubits per use",
-        shade_mask=table.superactivated,
+        ]),
     )
-    cap_path = os.path.join(out_dir, f"{name}_capacity.svg")
-    with open(cap_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cap_svg)
-    emitted.append(cap_path)
+    for suffix, title, ylabel, curves in plots:
+        svg = svg_line_plot(table.energy, curves, f"{title} ({name})", "E / V0",
+                            ylabel, shade_mask=table.superactivated)
+        emitted.append(_write(out_dir, f"{name}_{suffix}.svg", svg))
     return emitted
 
 
 def run_graph_contract(sc: dict, out_dir: str) -> list[str]:
-    g = QuantumGraph.from_json(sc["graph"])
-    s_g = contract(g)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{sc['name']}_global.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(s_g.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return [path]
+    s_g = contract(QuantumGraph.from_json(sc["graph"]))
+    return [_write(out_dir, f"{sc['name']}_global.json", _json_text(s_g.to_json()))]
 
 
-def run_star_demo(sc: dict, out_dir: str) -> list[str]:
+def _star_inputs(sc: dict):
     s1 = ScatteringMatrix.from_json(sc["s1"])
     s2 = ScatteringMatrix.from_json(sc["s2"])
     wiring = composer.Wiring.from_json(sc["wiring"]) if "wiring" in sc else None
-    result = composer.star(s2, s1, wiring)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{sc['name']}_star.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return [path]
+    return s2, s1, wiring
+
+
+def run_star_demo(sc: dict, out_dir: str) -> list[str]:
+    result = composer.star(*_star_inputs(sc))
+    return [_write(out_dir, f"{sc['name']}_star.json", _json_text(result.to_json()))]
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +242,9 @@ def verify_barrier_sweep(sc: dict, out) -> float:
         p = physics.BarrierParams(
             float(e), base.epsilon, base.half_width, base.separation, base.eta
         )
-        for double, closed in (
-            (False, physics.single_barrier_m(p)),
-            (True, physics.double_barrier_m(p)),
-        ):
-            piped = physics.pipeline_m(p, double=double)
-            worst = max(worst, float(np.max(np.abs(piped - closed.m_op))))
+        for double in (False, True):
+            gap = physics.pipeline_m(p, double) - physics.closed_form_m(p, double)
+            worst = np.maximum(worst, np.max(np.abs(gap)))
 
     # star vs geometric series on the barrier pair at a contractive energy
     p_mid = physics.BarrierParams(
@@ -276,23 +256,23 @@ def verify_barrier_sweep(sc: dict, out) -> float:
     if operator_norm(b2.block("L", "L") @ b1.block("R", "R")) < 1.0:
         direct = composer.star(b2, b1)
         series = composer.star_via_series(b2, b1, tol=1e-14)
-        worst = max(worst, max_abs(direct.matrix - series.matrix))
+        worst = np.maximum(worst, max_abs(direct.matrix - series.matrix))
 
     # unitarity of the contracted double-barrier global matrix
     s_g = contract(physics.double_barrier_graph(p_mid))
-    worst = max(worst, unitarity_defect(s_g.matrix))
+    worst = np.maximum(worst, unitarity_defect(s_g.matrix))
 
     # CPTP of the induced erasure channel
     m = channel.transmission_operator(s_g, 1, 4)
     ch = channel.ErasureChannel(m)
     kraus = channel.kraus_set(ch)
     comp = sum(k.conj().T @ k for k in kraus)
-    worst = max(worst, max_abs(comp - np.eye(ch.d)))
+    worst = np.maximum(worst, max_abs(comp - np.eye(ch.d)))
     j = channel.choi(ch)
-    worst = max(worst, max(0.0, -float(np.min(np.linalg.eigvalsh(j)))))
+    worst = np.maximum(worst, np.maximum(0.0, -np.min(np.linalg.eigvalsh(j))))
 
     print(f"closed-form/pipeline + oracle residual max: {worst:.3e}", file=out)
-    return worst
+    return float(worst)
 
 
 def verify_graph_contract(sc: dict, out) -> float:
@@ -304,19 +284,17 @@ def verify_graph_contract(sc: dict, out) -> float:
 
 
 def verify_star_demo(sc: dict, out) -> float:
-    s1 = ScatteringMatrix.from_json(sc["s1"])
-    s2 = ScatteringMatrix.from_json(sc["s2"])
-    wiring = composer.Wiring.from_json(sc["wiring"]) if "wiring" in sc else None
+    s2, s1, wiring = _star_inputs(sc)
     direct = composer.star(s2, s1, wiring)
     series = composer.star_via_series(s2, s1, wiring, tol=1e-14)
     worst = max_abs(direct.matrix - series.matrix)
-    worst = max(worst, unitarity_defect(direct.matrix))
+    worst = np.maximum(worst, unitarity_defect(direct.matrix))
     trans = direct.block("R", "L")
     print(f"transmission block:\n{np.array_str(trans, precision=12)}", file=out)
     if "expected_transmission" in sc:
         gap = abs(abs(trans[0, 0]) - float(sc["expected_transmission"]))
         print(f"|transmission| deviation from expected: {gap:.3e}", file=out)
-        worst = max(worst, gap)
+        worst = np.maximum(worst, gap)
     print(f"star/series + unitarity residual max: {worst:.3e}", file=out)
     return worst
 
@@ -328,7 +306,7 @@ def verify_star_demo(sc: dict, out) -> float:
 def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     if sc["kind"] == "barrier-sweep":
-        emitted = run_barrier_sweep(sc, args.out, args.threads)
+        emitted = run_barrier_sweep(sc, args.out)
     elif sc["kind"] == "graph-contract":
         emitted = run_graph_contract(sc, args.out)
     else:
@@ -346,7 +324,7 @@ def _cmd_verify(args) -> int:
         worst = verify_graph_contract(sc, sys.stdout)
     else:
         worst = verify_star_demo(sc, sys.stdout)
-    if worst > VERIFY_TOL:
+    if not worst <= VERIFY_TOL:
         print(f"FAIL: residual {worst:.3e} exceeds {VERIFY_TOL:.0e}", file=sys.stderr)
         return 3
     print("all residuals within tolerance")
@@ -361,12 +339,7 @@ def _cmd_star(args) -> int:
     with open(args.wiring, "r", encoding="utf-8") as fh:
         wiring = composer.Wiring.from_json(json.load(fh))
     result = composer.star(s2, s1, wiring)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "star.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(path)
+    print(_write(args.out, "star.json", _json_text(result.to_json())))
     print(f"unitarity defect: {unitarity_defect(result.matrix):.3e}")
     return 0
 
@@ -378,8 +351,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default="./out", help="output directory")
     parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads for sweeps",
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; sweeps run in one thread",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

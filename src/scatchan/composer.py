@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import (
     DecouplingViolationError,
+    InternalConsistencyError,
     InvalidInputError,
     SeriesDivergentError,
 )
-from .errors import InternalConsistencyError
-from .numerics import DEFAULT_REL_TOL, max_abs, operator_norm, svd
+from .numerics import max_abs, operator_norm, pseudo_inverse
 from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
 
 KERNEL_SV_TOL = 1e-10
@@ -233,8 +233,6 @@ class KernelDecouplingReport:
 
 def _kernel_residuals(kmat, s2, s1) -> tuple:
     """Decoupling residual 4-tuples, one per column of the kernel basis."""
-    if kmat.shape[1] == 0:
-        return ()
     kc = kmat.conj()
     r1 = np.linalg.norm(s1.block("L", "R") @ kmat, axis=0)
     r2 = np.linalg.norm(s2.block("R", "L") @ (s1.block("R", "R") @ kmat), axis=0)
@@ -246,16 +244,24 @@ def _kernel_residuals(kmat, s2, s1) -> tuple:
     )
 
 
+def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix):
+    """Pseudo-inverse of the loop matrix and the decoupling report of its
+    kernel.  One SVD serves both; the residuals are computed only when the
+    loop is singular."""
+    loop = loop_matrix(s2, s1)
+    if loop.shape[0] == 0:
+        return loop, KernelDecouplingReport(0, ())
+    linv, sing, v = pseudo_inverse(loop)
+    kmat = v[:, sing < KERNEL_SV_TOL]
+    residuals = _kernel_residuals(kmat, s2, s1) if kmat.shape[1] else ()
+    return linv, KernelDecouplingReport(kmat.shape[1], residuals)
+
+
 def kernel_decoupling_check(
     s2: ScatteringMatrix, s1: ScatteringMatrix
 ) -> KernelDecouplingReport:
     """Verify that loop-kernel modes are invisible from all dangling ports."""
-    loop = loop_matrix(s2, s1)
-    if loop.shape[0] == 0:
-        return KernelDecouplingReport(0, ())
-    _, sing, v = svd(loop)
-    kmat = v[:, sing < KERNEL_SV_TOL]
-    return KernelDecouplingReport(kmat.shape[1], _kernel_residuals(kmat, s2, s1))
+    return _loop_inverse(s2, s1)[1]
 
 
 def _is_unitary(s: ScatteringMatrix) -> bool:
@@ -292,26 +298,13 @@ def star(
 
 
 def _star_direct(s2: ScatteringMatrix, s1: ScatteringMatrix) -> ScatteringMatrix:
-    loop = loop_matrix(s2, s1)
-    if loop.shape[0] == 0:
-        return _assemble(s2, s1, loop)
-    # One SVD serves the singularity check, the decoupling verification,
-    # and the pseudo-inverse.
-    u, sing, v = svd(loop)
-    if sing[-1] < KERNEL_SV_TOL:
-        kmat = v[:, sing < KERNEL_SV_TOL]
-        report = KernelDecouplingReport(
-            kmat.shape[1], _kernel_residuals(kmat, s2, s1)
+    linv, report = _loop_inverse(s2, s1)
+    if not report.ok:
+        raise InternalConsistencyError(
+            "loop matrix is singular but kernel modes couple to the "
+            f"output ports (residual {report.max_residual:.3e}); "
+            "inputs are not unitary"
         )
-        if not report.ok:
-            raise InternalConsistencyError(
-                "loop matrix is singular but kernel modes couple to the "
-                f"output ports (residual {report.max_residual:.3e}); "
-                "inputs are not unitary"
-            )
-    cutoff = DEFAULT_REL_TOL * sing[0]
-    inv_sing = np.where(sing > cutoff, 1.0 / np.where(sing > cutoff, sing, 1.0), 0.0)
-    linv = (v * inv_sing) @ u.conj().T
     return _assemble(s2, s1, linv)
 
 

@@ -35,30 +35,18 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh.conj().T
 
 
-def pseudo_inverse(a, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
+def pseudo_inverse(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moore-Penrose pseudo-inverse via one SVD.
 
-    Singular values below rel_tol * sigma_max are treated as exactly zero.
+    Singular values below DEFAULT_REL_TOL * sigma_max are treated as exactly
+    zero.  Returns (A^+, sigma, V) with sigma and V as from :func:`svd`, so
+    a caller can read the kernel of A without a second decomposition.
     """
-    if rel_tol <= 0:
-        raise InvalidInputError(f"rel_tol must be positive, got {rel_tol}")
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
-    cutoff = rel_tol * s[0]
+    u, s, v = svd(a)
+    k = s.size
+    cutoff = DEFAULT_REL_TOL * s[0] if k else 0.0
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vh.conj().T @ (inv_s[:, None] * u.conj().T)
-
-
-def spectral_radius(a) -> float:
-    """Largest eigenvalue magnitude of a square matrix."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"spectral radius needs a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return (v[:, :k] * inv_s) @ u[:, :k].conj().T, s, v
 
 
 def operator_norm(a) -> float:

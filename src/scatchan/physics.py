@@ -10,14 +10,11 @@ i*sqrt(Et - h) above the top.  One complex code path covers both regimes.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from . import capacity
 from .channel import transmission_operator
 from .errors import InternalConsistencyError, InvalidInputError
 from .graph import QuantumGraph, contract
@@ -128,58 +125,6 @@ def loss_smatrix(eta: float) -> ScatteringMatrix:
     return ScatteringMatrix(np.kron(pattern, np.eye(2)), PortSpec(2, 2, 2, 2, 2))
 
 
-@dataclass(frozen=True)
-class SpinChannelPair:
-    """Diagonal transmission operator of a spin-1/2 channel."""
-
-    m_up: complex
-    m_down: complex
-
-    def __post_init__(self):
-        if abs(self.m_up) > 1.0 + 1e-10 or abs(self.m_down) > 1.0 + 1e-10:
-            raise InvalidInputError("spin transmission amplitudes exceed unity")
-
-    @property
-    def m_op(self) -> np.ndarray:
-        return np.diag([self.m_up, self.m_down])
-
-    def bounds(self) -> capacity.CapacityBounds:
-        return capacity.capacity_bounds(self.m_op, 2)
-
-
-def single_barrier_m(p: BarrierParams) -> SpinChannelPair:
-    """Closed-form transmission operator of barrier-then-loss."""
-    _, t_up = barrier_coefficients(p.energy_ratio, 1.0 + p.epsilon, p.half_width)
-    _, t_dn = barrier_coefficients(p.energy_ratio, 1.0 - p.epsilon, p.half_width)
-    rt = np.sqrt(1.0 - p.eta)
-    return SpinChannelPair(complex(rt * t_up), complex(rt * t_dn))
-
-
-def double_barrier_m(p: BarrierParams) -> SpinChannelPair:
-    """Closed-form transmission operator of the resonant double-barrier
-    line, with its Fabry-Perot denominator."""
-    phi = 2.0 * np.sqrt(p.energy_ratio) * p.separation
-    rt = np.sqrt(1.0 - p.eta)
-    amps = []
-    fell_back = False
-    for height in (1.0 + p.epsilon, 1.0 - p.epsilon):
-        r, t = barrier_coefficients(p.energy_ratio, height, p.half_width)
-        denom = 1.0 - (1.0 - p.eta) * r * np.exp(1j * phi) * r
-        if abs(denom) < RESONANT_DENOM_FLOOR:
-            fell_back = True
-            amps = None
-            break
-        amps.append(complex(rt * t * t / denom))
-    if fell_back:
-        warnings.warn(
-            "resonant denominator vanished; falling back to the star-product pipeline",
-            RuntimeWarning,
-        )
-        m = pipeline_m(p, double=True)
-        return SpinChannelPair(complex(m[0, 0]), complex(m[1, 1]))
-    return SpinChannelPair(amps[0], amps[1])
-
-
 def single_barrier_graph(p: BarrierParams) -> QuantumGraph:
     """Barrier followed by the loss scatterer; Alice on port 1, Bob on the
     continuing-line output, port 4."""
@@ -214,7 +159,7 @@ def double_barrier_graph(p: BarrierParams) -> QuantumGraph:
 
 def pipeline_m(p: BarrierParams, double: bool) -> np.ndarray:
     """Transmission operator computed through graph contraction; the
-    independent cross-check for the closed forms above."""
+    independent cross-check for :func:`closed_form_m`."""
     g = double_barrier_graph(p) if double else single_barrier_graph(p)
     s_g = contract(g)
     return transmission_operator(s_g, in_port=1, out_port=4)
@@ -244,42 +189,65 @@ class SweepTable:
     )
 
     def to_csv(self) -> str:
+        row = ",".join(["%.12e"] * (len(self.CSV_COLUMNS) - 1) + ["%d"])
+        table = np.column_stack([getattr(self, f.name) for f in fields(self)])
         lines = [",".join(self.CSV_COLUMNS)]
-        for i in range(len(self.energy)):
-            floats = [
-                self.energy[i],
-                self.p_up_single[i], self.p_dn_single[i],
-                self.p_up_double[i], self.p_dn_double[i],
-                self.q_low_single[i], self.q_up_single[i],
-                self.q_low_double[i], self.q_up_double[i],
-            ]
-            cells = ["%.12e" % x for x in floats]
-            cells.append("1" if self.superactivated[i] else "0")
-            lines.append(",".join(cells))
+        lines.extend(row % tuple(cells) for cells in table.tolist())
         return "\n".join(lines) + "\n"
 
 
-def _sweep_amplitudes(base: BarrierParams, energies: np.ndarray):
-    """Vectorized closed-form spin amplitudes for both configurations."""
+def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
+    """Closed-form spin amplitudes of both configurations on an energy grid.
+
+    Keys ``single_up``, ``single_dn`` (barrier-then-loss) and ``double_up``,
+    ``double_dn`` (the resonant double-barrier line with its Fabry-Perot
+    denominator).  Raises InternalConsistencyError where that denominator
+    falls below RESONANT_DENOM_FLOOR or an amplitude exceeds unity: there
+    the closed form has lost its accuracy, and no value is returned.
+    """
+    energies = np.asarray(energies, dtype=float)
     rt = np.sqrt(1.0 - base.eta)
     phi = 2.0 * np.sqrt(energies) * base.separation
     out = {}
     for label, height in (("up", 1.0 + base.epsilon), ("dn", 1.0 - base.epsilon)):
         r, t = barrier_coefficients(energies, height, base.half_width)
         denom = 1.0 - (1.0 - base.eta) * r * r * np.exp(1j * phi)
+        size = np.abs(denom)
+        if not np.all(size >= RESONANT_DENOM_FLOOR):
+            i = int(np.argmin(size))  # the first NaN, if any
+            raise InternalConsistencyError(
+                f"resonant denominator {size[i]:.3e} below "
+                f"{RESONANT_DENOM_FLOOR:.0e} at E/V0={energies[i]:.6f}"
+            )
         out[f"single_{label}"] = rt * t
         out[f"double_{label}"] = rt * t * t / denom
+    worst = np.max(np.abs(np.stack(list(out.values()))))
+    if not worst <= 1.0 + 1e-10:
+        raise InternalConsistencyError(f"closed-form amplitude {worst:.3e} exceeds unity")
     return out
+
+
+def closed_form_m(p: BarrierParams, double: bool) -> np.ndarray:
+    """Closed-form transmission operator at one energy; mirrors
+    :func:`pipeline_m`."""
+    amp = closed_form_amplitudes(p, [p.energy_ratio])
+    cfg = "double" if double else "single"
+    return np.diag([amp[f"{cfg}_up"][0], amp[f"{cfg}_dn"][0]])
 
 
 def energy_sweep(
     base: BarrierParams,
     grid,
     cross_check_every: int = 100,
-    threads: int = 1,
 ) -> SweepTable:
-    """Sweep the energy grid; closed forms drive the sweep, with periodic
-    cross-checks against the graph-contraction pipeline."""
+    """Sweep the energy grid in one vectorized closed-form pass.
+
+    Every ``cross_check_every``-th grid point is recomputed through the
+    graph-contraction pipeline; a gap above PIPELINE_MATCH_TOL (or a NaN)
+    raises InternalConsistencyError, as does a closed form that fails its
+    own resonance-floor or unit-amplitude check.  ``cross_check_every=0``
+    skips the pipeline.
+    """
     energies = np.asarray(grid, dtype=float)
     if energies.ndim != 1 or energies.size < 1:
         raise InvalidInputError("energy grid must be a nonempty 1-D sequence")
@@ -288,14 +256,7 @@ def energy_sweep(
     if np.any(np.diff(energies) <= 0):
         raise InvalidInputError("energy grid must be strictly increasing")
 
-    if threads > 1 and energies.size > 1:
-        chunks = np.array_split(np.arange(energies.size), min(threads, energies.size))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ix: _sweep_amplitudes(base, energies[ix]), chunks))
-        amp = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-    else:
-        amp = _sweep_amplitudes(base, energies)
-
+    amp = closed_form_amplitudes(base, energies)
     p_up_s = np.abs(amp["single_up"]) ** 2
     p_dn_s = np.abs(amp["single_dn"]) ** 2
     p_up_d = np.abs(amp["double_up"]) ** 2
@@ -321,7 +282,7 @@ def energy_sweep(
             for closed, double in ((closed_s, False), (closed_d, True)):
                 piped = pipeline_m(p, double=double)
                 gap = float(np.max(np.abs(piped - closed)))
-                if gap > PIPELINE_MATCH_TOL:
+                if not gap <= PIPELINE_MATCH_TOL:
                     raise InternalConsistencyError(
                         f"closed-form/pipeline mismatch {gap:.3e} at "
                         f"E/V0={energies[i]:.6f} (double={double})"

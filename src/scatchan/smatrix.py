@@ -207,11 +207,6 @@ def slot_permutation_index(in_slots, out_slots, dim: int):
     return index
 
 
-def new_scattering(matrix, spec: PortSpec, check: bool = True) -> ScatteringMatrix:
-    """Validating constructor; with ``check`` set unitarity is enforced."""
-    return ScatteringMatrix(matrix, spec, check=check)
-
-
 @dataclass(frozen=True)
 class TransferMatrix:
     """Left<->right amplitude map equivalent to a homogeneous S-matrix.

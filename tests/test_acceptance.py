@@ -153,7 +153,7 @@ def test_criterion_7_closed_form_vs_pipeline():
     for eps in (0.0, 0.1):
         for eta in (0.0, 0.1):
             base = physics.BarrierParams(1.0, eps, HALF_WIDTH_REF, SEPARATION_REF, eta)
-            amp = physics._sweep_amplitudes(base, energies)
+            amp = physics.closed_form_amplitudes(base, energies)
             for i, e in enumerate(energies):
                 p = physics.BarrierParams(float(e), eps, HALF_WIDTH_REF, SEPARATION_REF, eta)
                 closed_s = np.diag([amp["single_up"][i], amp["single_dn"][i]])
@@ -177,11 +177,11 @@ def test_criterion_8_resonant_tunneling():
     grid = np.linspace(1e-5, 1.0 - 1e-9, 100000)
 
     def double_p(es):
-        amp = physics._sweep_amplitudes(base, np.atleast_1d(es))
+        amp = physics.closed_form_amplitudes(base, np.atleast_1d(es))
         return np.abs(amp["double_up"]) ** 2
 
     def single_p(es):
-        amp = physics._sweep_amplitudes(base, np.atleast_1d(es))
+        amp = physics.closed_form_amplitudes(base, np.atleast_1d(es))
         return np.abs(amp["single_up"]) ** 2
 
     p_grid = double_p(grid)

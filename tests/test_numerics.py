@@ -7,9 +7,7 @@ from scatchan.numerics import (
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    operator_norm,
     pseudo_inverse,
-    spectral_radius,
     svd,
 )
 
@@ -42,52 +40,37 @@ def test_svd_rejects_nonfinite():
 
 
 def test_pinv_zero_matrix():
-    assert max_abs(pseudo_inverse(np.zeros((3, 2)))) == 0.0
+    assert max_abs(pseudo_inverse(np.zeros((3, 2)))[0]) == 0.0
 
 
 def test_pinv_diagonal():
-    assert np.allclose(pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+    assert np.allclose(pseudo_inverse(np.diag([2.0, 0.0]))[0], np.diag([0.5, 0.0]))
 
 
 def test_pinv_of_unitary_is_adjoint():
     rng = np.random.default_rng(3)
     u = random_unitary(rng, 5)
-    assert max_abs(pseudo_inverse(u) - u.conj().T) < 1e-12
+    assert max_abs(pseudo_inverse(u)[0] - u.conj().T) < 1e-12
+
+
+def test_pinv_returns_its_svd():
+    rng = np.random.default_rng(9)
+    b = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    a = b @ b.conj().T  # rank 2: the returned V also spans the kernel
+    _, sigma, v = pseudo_inverse(a)
+    _, sigma_ref, v_ref = svd(a)
+    assert np.array_equal(sigma, sigma_ref) and np.array_equal(v, v_ref)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (3, 5), (12, 12)])
 def test_penrose_identities(shape):
     rng = np.random.default_rng(shape[0] * 31 + shape[1])
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    ap = pseudo_inverse(a)
+    ap = pseudo_inverse(a)[0]
     assert max_abs(a @ ap @ a - a) < 1e-10
     assert max_abs(ap @ a @ ap - ap) < 1e-10
     assert max_abs((a @ ap).conj().T - a @ ap) < 1e-10
     assert max_abs((ap @ a).conj().T - ap @ a) < 1e-10
-
-
-def test_spectral_radius_diagonal():
-    assert spectral_radius(np.diag([0.5, -0.25])) == pytest.approx(0.5)
-
-
-def test_spectral_radius_nilpotent():
-    assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0)
-
-
-def test_spectral_radius_contraction_power_iteration():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    a = a / (2 * operator_norm(a))
-    rho = spectral_radius(a)
-    assert rho < 1.0
-    # power-iteration cross-check: ||A^n||^(1/n) -> rho
-    power = np.linalg.matrix_power(a, 60)
-    assert operator_norm(power) ** (1 / 60) == pytest.approx(rho, abs=0.05)
-
-
-def test_spectral_radius_rejects_nonsquare():
-    with pytest.raises(InvalidInputError):
-        spectral_radius(np.zeros((2, 3)))
 
 
 def test_matrix_json_roundtrip():

@@ -1,0 +1,11 @@
+import scatchan
+
+REMOVED = ("single_barrier_m", "double_barrier_m", "SpinChannelPair", "new_scattering")
+
+
+def test_exports_resolve_and_removed_names_are_gone():
+    for name in scatchan.__all__:
+        assert getattr(scatchan, name) is not None, name
+    for name in REMOVED:
+        assert name not in scatchan.__all__
+        assert not hasattr(scatchan, name)

@@ -1,20 +1,22 @@
+import json
 import re
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from scatchan.errors import InvalidInputError
+from scatchan import cli, physics
+from scatchan.errors import InternalConsistencyError, InvalidInputError
 from scatchan.numerics import max_abs
 from scatchan.physics import (
     BarrierParams,
     barrier_coefficients,
     barrier_smatrix,
-    double_barrier_m,
+    closed_form_m,
     double_barrier_graph,
     energy_sweep,
     loss_smatrix,
     pipeline_m,
-    single_barrier_m,
     single_barrier_graph,
     translated_barrier,
 )
@@ -169,21 +171,21 @@ class TestLossScatterer:
 class TestClosedForms:
     def test_eta_one_kills_transmission(self):
         p = BarrierParams(0.5, half_width=0.2, separation=1.0, eta=1.0)
-        assert max_abs(single_barrier_m(p).m_op) == 0.0
-        assert max_abs(double_barrier_m(p).m_op) == 0.0
+        assert max_abs(closed_form_m(p, False)) == 0.0
+        assert max_abs(closed_form_m(p, True)) == 0.0
 
     def test_high_energy_lossless_single(self):
         p = BarrierParams(200.0, half_width=HALF_WIDTH_REF, eta=0.0)
-        pair = single_barrier_m(p)
-        assert abs(pair.m_up) ** 2 > 0.99
+        m = closed_form_m(p, False)
+        assert abs(m[0, 0]) ** 2 > 0.99
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("eta", [0.0, 0.1])
     def test_matches_pipeline(self, eps, eta):
         for et in (0.11, 0.47, 0.93, 1.31):
             p = BarrierParams(et, eps, HALF_WIDTH_REF, SEPARATION_REF, eta)
-            assert max_abs(pipeline_m(p, False) - single_barrier_m(p).m_op) < 1e-9
-            assert max_abs(pipeline_m(p, True) - double_barrier_m(p).m_op) < 1e-9
+            assert max_abs(pipeline_m(p, False) - closed_form_m(p, False)) < 1e-9
+            assert max_abs(pipeline_m(p, True) - closed_form_m(p, True)) < 1e-9
 
     def test_lossless_resonance_peak(self):
         energies = np.linspace(0.01, 0.99, 30000)
@@ -198,8 +200,8 @@ class TestClosedForms:
             probs = []
             for eta in np.linspace(0.0, 1.0, 21):
                 p = BarrierParams(et, 0.0, HALF_WIDTH_REF, SEPARATION_REF, float(eta))
-                pair = double_barrier_m(p)
-                probs.append(abs(pair.m_up) ** 2)
+                m = closed_form_m(p, True)
+                probs.append(abs(m[0, 0]) ** 2)
             assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
 
 
@@ -235,30 +237,69 @@ class TestEnergySweep:
             energy_sweep(base, [])
 
     def test_csv_format(self):
-        base = BarrierParams(0.5, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        table = energy_sweep(base, self.GRID[:10], cross_check_every=0)
+        # fig2_eps0 geometry on a grid that holds both flag values
+        base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        table = energy_sweep(base, np.linspace(0.005, 0.1, 400), cross_check_every=0)
         lines = table.to_csv().splitlines()
         assert lines[0] == (
             "E_over_V0,p_up_single,p_dn_single,p_up_double,p_dn_double,"
             "q_low_single,q_up_single,q_low_double,q_up_double,superactivated"
         )
-        assert len(lines) == 11
+        assert len(lines) == 401
         float_re = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}$")
-        for line in lines[1:]:
+        columns = (
+            table.energy, table.p_up_single, table.p_dn_single,
+            table.p_up_double, table.p_dn_double, table.q_low_single,
+            table.q_up_single, table.q_low_double, table.q_up_double,
+        )
+        flags = []
+        for i, line in enumerate(lines[1:]):
             cells = line.split(",")
             assert len(cells) == 10
-            for cell in cells[:9]:
+            for cell, column in zip(cells[:9], columns):
                 assert float_re.match(cell), cell
-            assert cells[9] in ("0", "1")
-
-    def test_thread_count_invariance(self):
-        base = BarrierParams(0.5, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        t1 = energy_sweep(base, self.GRID, cross_check_every=0, threads=1)
-        t4 = energy_sweep(base, self.GRID, cross_check_every=0, threads=4)
-        assert t1.to_csv() == t4.to_csv()
+                assert cell == "%.12e" % column[i]
+            assert cells[9] == ("1" if table.superactivated[i] else "0")
+            flags.append(cells[9])
+        assert flags.count("1") == 34 and flags.count("0") == 366
 
     def test_sa_flag_matches_bound_logic(self):
         base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
         table = energy_sweep(base, self.GRID, cross_check_every=0)
         expected = (table.q_low_double > 0.0) & (table.q_up_single <= 0.0)
         assert np.array_equal(table.superactivated, expected)
+
+
+# Tuned onto the first resonance at E/V0=0.5: |1 - r^2 e^{i phi}| ~ 7e-15,
+# below RESONANT_DENOM_FLOOR; the closed form there gives |m|^2 ~ 1.11.
+OPAQUE = {
+    "kind": "barrier-sweep", "epsilon": 0, "eta": 0, "half_width": 12,
+    "separation": 21.77855853092082, "cross_check_every": 0,
+    "grid": {"start": 0.4, "stop": 0.5, "points": 2},
+}
+
+
+class TestLoudFailures:
+    """The closed form and the gates raise instead of passing bad numbers."""
+
+    def test_resonance_floor_raises(self, tmp_path):
+        p = BarrierParams(0.5, 0.0, 12.0, OPAQUE["separation"], 0.0)
+        with pytest.raises(InternalConsistencyError, match="resonant denominator"):
+            closed_form_m(p, True)
+        with pytest.raises(InternalConsistencyError, match="resonant denominator"):
+            energy_sweep(p, [0.4, 0.5], cross_check_every=0)
+        path = tmp_path / "opaque.json"
+        path.write_text(json.dumps(OPAQUE))
+        assert cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 3
+        assert not (tmp_path / "out" / "opaque.csv").exists()
+
+    def test_nan_pipeline_fails_the_gates(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            physics, "pipeline_m", lambda p, double: np.full((2, 2), np.nan)
+        )
+        base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        with pytest.raises(InternalConsistencyError, match="mismatch nan"):
+            energy_sweep(base, np.linspace(0.1, 0.9, 5), cross_check_every=1)
+        scenario = str(files("scatchan") / "scenarios" / "fig2_eps0.json")
+        assert cli.main(["verify", scenario]) == 3
+        assert "FAIL: residual nan" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from scatchan.smatrix import (
     PortSpec,
     ScatteringMatrix,
     TransferMatrix,
-    new_scattering,
     s_to_t,
     slot_permutation_index,
     t_to_s,
@@ -51,34 +50,34 @@ class TestPortSpec:
 
 class TestConstruction:
     def test_swap_valid(self):
-        s = new_scattering(SWAP, SPEC11)
+        s = ScatteringMatrix(SWAP, SPEC11)
         assert unitarity_defect(s.matrix) < 1e-14
 
     def test_full_reflector_valid(self):
-        new_scattering(np.eye(2), SPEC11)
+        ScatteringMatrix(np.eye(2), SPEC11)
 
     def test_nonunitary_rejected(self):
         with pytest.raises(NonUnitaryError):
-            new_scattering(np.array([[1.0, 1.0], [0.0, 1.0]]), SPEC11)
+            ScatteringMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]), SPEC11)
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
-            new_scattering(np.eye(3), SPEC11)
+            ScatteringMatrix(np.eye(3), SPEC11)
 
     def test_matrix_is_write_locked(self):
-        s = new_scattering(SWAP, SPEC11)
+        s = ScatteringMatrix(SWAP, SPEC11)
         with pytest.raises(ValueError):
             s.matrix[0, 0] = 5.0
 
 
 class TestBlocks:
     def test_swap_blocks(self):
-        s = new_scattering(SWAP, SPEC11)
+        s = ScatteringMatrix(SWAP, SPEC11)
         assert np.allclose(s.block("L", "L"), [[0.0]])
         assert np.allclose(s.block("R", "L"), [[1.0]])
 
     def test_reflector_lr_block(self):
-        s = new_scattering(np.eye(2), SPEC11)
+        s = ScatteringMatrix(np.eye(2), SPEC11)
         assert np.allclose(s.block("L", "R"), [[0.0]])
 
     def test_slot_block(self):
@@ -128,12 +127,12 @@ class TestVerifiedBit:
 
 class TestConversion:
     def test_swap_to_transfer_is_identity(self):
-        t = s_to_t(new_scattering(SWAP, SPEC11))
+        t = s_to_t(ScatteringMatrix(SWAP, SPEC11))
         assert max_abs(t.matrix - np.eye(2)) < 1e-14
 
     def test_reflector_unconvertible(self):
         with pytest.raises(ConversionUnavailableError):
-            s_to_t(new_scattering(np.eye(2), SPEC11))
+            s_to_t(ScatteringMatrix(np.eye(2), SPEC11))
 
     def test_beamsplitter_unimodular(self):
         t = s_to_t(beamsplitter(np.pi / 4))
