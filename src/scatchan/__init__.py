@@ -40,6 +40,7 @@ from .physics import (
     closed_form_m,
     energy_sweep,
     loss_smatrix,
+    pipeline_amplitudes,
     translated_barrier,
 )
 from .smatrix import (
@@ -81,6 +82,7 @@ __all__ = [
     "loop_matrix",
     "loss_smatrix",
     "pad_to_homogeneous",
+    "pipeline_amplitudes",
     "s_to_t",
     "singular_probabilities",
     "star",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import as_matrix
+from .numerics import as_single_matrix
 
 PROB_CLAMP_TOL = 1e-10
 
@@ -32,7 +32,7 @@ def erasure_capacity(p: float, d: int) -> float:
 
 def singular_probabilities(m) -> np.ndarray:
     """Squared singular values of the transmission operator, ascending."""
-    mat = as_matrix(m)
+    mat = as_single_matrix(m)
     s = np.linalg.svd(mat, compute_uv=False)
     p = np.sort(s) ** 2
     if p.size and p[-1] > 1.0 + PROB_CLAMP_TOL:
@@ -98,7 +98,7 @@ def check_data_processing(m1, m2, d: int) -> DataProcessingReport:
     """Verify the composed channel is no less noisy than either factor."""
     p1 = singular_probabilities(m1)
     p2 = singular_probabilities(m2)
-    p21 = singular_probabilities(as_matrix(m2) @ as_matrix(m1))
+    p21 = singular_probabilities(as_single_matrix(m2) @ as_single_matrix(m1))
     return DataProcessingReport(float(p21[-1]), float(p1[-1]), float(p2[-1]))
 
 

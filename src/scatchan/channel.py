@@ -2,7 +2,8 @@
 
 The channel delivers M rho M^dag on the internal space and routes the
 complementary weight to an orthogonal flag ("no particle") state realized
-as one appended basis dimension, giving (d+1)x(d+1) outputs.
+as one appended basis dimension, giving (d+1)x(d+1) outputs.  Channels
+take one transmission operator; a stack of them is rejected.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import as_matrix, matrix_from_json, matrix_to_json, max_abs
+from .numerics import as_single_matrix, matrix_from_json, matrix_to_json, max_abs
 from .smatrix import ScatteringMatrix
 
 CONTRACTION_TOL = 1e-10
@@ -19,7 +20,7 @@ DENSITY_TOL = 1e-12
 
 def is_density(rho, tol: float = DENSITY_TOL) -> bool:
     """Hermitian, unit trace, and positive semidefinite within tolerance."""
-    m = as_matrix(rho)
+    m = as_single_matrix(rho)
     if m.shape[0] != m.shape[1]:
         return False
     if max_abs(m - m.conj().T) > tol:
@@ -33,7 +34,8 @@ def transmission_operator(
     s_g: ScatteringMatrix, in_port: int, out_port: int
 ) -> np.ndarray:
     """The d x d block of the global S-matrix connecting the sender's
-    in-port to the receiver's out-port.  Ports are 1-based dangling labels.
+    in-port to the receiver's out-port (a stack of blocks for a stacked
+    S-matrix).  Ports are 1-based dangling labels.
     """
     d = s_g.spec.dim
     if not 1 <= in_port <= s_g.spec.total_in:
@@ -47,7 +49,7 @@ class ErasureChannel:
     """State-dependent erasure channel G_M with flag index d."""
 
     def __init__(self, m_op):
-        m = as_matrix(m_op)
+        m = as_single_matrix(m_op)
         if m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"transmission operator must be square, got {m.shape}")
         self.d = m.shape[0]
@@ -85,7 +87,7 @@ class ErasureChannel:
 def apply(ch: ErasureChannel, rho) -> np.ndarray:
     """Apply the channel to a d x d density matrix, returning the
     (d+1)x(d+1) output with the erasure weight on the flag diagonal."""
-    r = as_matrix(rho)
+    r = as_single_matrix(rho)
     if r.shape != (ch.d, ch.d):
         raise InvalidInputError(
             f"state has shape {r.shape}, channel expects ({ch.d}, {ch.d})"
@@ -114,7 +116,7 @@ def kraus_set(ch: ErasureChannel) -> list[np.ndarray]:
 
 def apply_via_kraus(ch: ErasureChannel, rho) -> np.ndarray:
     """Second code path for :func:`apply`; used as its oracle in tests."""
-    r = as_matrix(rho)
+    r = as_single_matrix(rho)
     out = np.zeros((ch.d + 1, ch.d + 1), dtype=complex)
     for k in kraus_set(ch):
         out += k @ r @ k.conj().T
@@ -139,7 +141,7 @@ def choi(ch: ErasureChannel) -> np.ndarray:
 
 def choi_partial_trace_out(j: np.ndarray, d: int) -> np.ndarray:
     """Trace out the (d+1)-dim output factor of a Choi matrix."""
-    j = as_matrix(j)
+    j = as_single_matrix(j)
     t = j.reshape(d + 1, d, d + 1, d)
     return np.einsum("aiaj->ij", t)
 

@@ -159,7 +159,7 @@ def _sweep_inputs(sc: dict):
     points = int(grid.get("points", 20000))
     if points < 2:
         raise InvalidInputError(f"grid needs at least 2 points, got {points}")
-    if not 0 < start < stop:
+    if not (np.isfinite(stop) and 0 < start < stop):
         raise InvalidInputError(f"bad grid range ({start}, {stop})")
     base = physics.BarrierParams(
         energy_ratio=start,  # placeholder; the sweep substitutes per-point values
@@ -237,14 +237,12 @@ def verify_barrier_sweep(sc: dict, out) -> float:
     """Closed-form vs pipeline, series vs star, unitarity, CPTP."""
     base, grid = _sweep_inputs(sc)
     sample = grid[:: max(1, len(grid) // 64)]
+    closed = physics.closed_form_amplitudes(base, sample)
+    piped = physics.pipeline_amplitudes(base, sample)
     worst = 0.0
-    for e in sample:
-        p = physics.BarrierParams(
-            float(e), base.epsilon, base.half_width, base.separation, base.eta
-        )
-        for double in (False, True):
-            gap = physics.pipeline_m(p, double) - physics.closed_form_m(p, double)
-            worst = np.maximum(worst, np.max(np.abs(gap)))
+    for cfg in ("single", "double"):
+        gap = piped[cfg] - physics.closed_form_operators(closed, cfg)
+        worst = np.maximum(worst, np.max(np.abs(gap)))
 
     # star vs geometric series on the barrier pair at a contractive energy
     p_mid = physics.BarrierParams(

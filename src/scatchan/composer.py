@@ -11,6 +11,13 @@ Kostrykin-Schrader decoupling check runs only when the physical loop is
 singular.  The paper's padding with fictitious identity-routed edges, each
 of which pins a loop eigenvalue at exactly 1, is kept as an oracle
 (:func:`star_via_padding`).
+
+Every function here takes one scattering matrix or two stacks of equal
+leading shape (one matrix per energy of a sweep, say) through the same code:
+blocks are sliced on the last two axes, the loop matrices of a stack are
+decomposed in one batched SVD, and the kernel check runs only on the rows
+whose loop is singular.  A gate on a stack measures its worst row, so one
+bad row fails the whole stack.
 """
 
 from __future__ import annotations
@@ -71,6 +78,10 @@ class Wiring:
 
 
 def _validate_pair(s2: ScatteringMatrix, s1: ScatteringMatrix):
+    if s1.matrix.shape[:-2] != s2.matrix.shape[:-2]:
+        raise InvalidInputError(
+            f"stack shapes differ: {s1.matrix.shape[:-2]} vs {s2.matrix.shape[:-2]}"
+        )
     if s1.spec.dim != s2.spec.dim:
         raise InvalidInputError(
             f"internal dimensions differ: {s1.spec.dim} vs {s2.spec.dim}"
@@ -110,7 +121,7 @@ def loop_matrix(s2: ScatteringMatrix, s1: ScatteringMatrix) -> np.ndarray:
     """The loop matrix 1 - S2^{L,L} S1^{R,R} resumming internal reflections."""
     _validate_pair(s2, s1)
     prod = s2.block("L", "L") @ s1.block("R", "R")
-    return np.eye(prod.shape[0]) - prod
+    return np.eye(prod.shape[-1]) - prod
 
 
 def _result_spec(s2: ScatteringMatrix, s1: ScatteringMatrix) -> PortSpec:
@@ -130,13 +141,15 @@ def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray):
     # y = direct + feed @ linv @ drive, with drive the amplitudes that the
     # outer inputs send into s1's right-in slots before any round trip, and
     # feed what one amplitude there contributes to the outer outputs.
-    s2_l_s1_rl = m2[:, :li2] @ m1[lo1:, :li1]  # [S2_LL S1_RL; S2_RL S1_RL]
-    drive = np.concatenate((s2_l_s1_rl[:lo2], m2[:lo2, li2:]), axis=1)
-    feed = np.concatenate((m1[:lo1, li1:], m2[lo2:, :li2] @ m1[lo1:, li1:]))
+    s2_l_s1_rl = m2[..., :li2] @ m1[..., lo1:, :li1]  # [S2_LL S1_RL; S2_RL S1_RL]
+    drive = np.concatenate((s2_l_s1_rl[..., :lo2, :], m2[..., :lo2, li2:]), axis=-1)
+    feed = np.concatenate(
+        (m1[..., :lo1, li1:], m2[..., lo2:, :li2] @ m1[..., lo1:, li1:]), axis=-2
+    )
     matrix = feed @ (linv @ drive)
-    matrix[:lo1, :li1] += m1[:lo1, :li1]
-    matrix[lo1:, :li1] += s2_l_s1_rl[lo2:]
-    matrix[lo1:, li1:] += m2[lo2:, li2:]
+    matrix[..., :lo1, :li1] += m1[..., :lo1, :li1]
+    matrix[..., lo1:, :li1] += s2_l_s1_rl[..., lo2:, :]
+    matrix[..., lo1:, li1:] += m2[..., lo2:, li2:]
     return ScatteringMatrix._trusted(matrix, spec)
 
 
@@ -156,7 +169,7 @@ def pad_to_homogeneous(s: ScatteringMatrix, target_k: int) -> ScatteringMatrix:
         return s
     d = spec.dim
     k = target_k
-    out = np.zeros((2 * k * d, 2 * k * d), dtype=complex)
+    out = np.zeros(s.matrix.shape[:-2] + (2 * k * d, 2 * k * d), dtype=complex)
 
     # Padded flat positions of the original slots.
     phys_in = list(range(spec.left_in)) + [k + j for j in range(spec.right_in)]
@@ -167,12 +180,12 @@ def pad_to_homogeneous(s: ScatteringMatrix, target_k: int) -> ScatteringMatrix:
     cols = np.concatenate(
         [np.arange(p * d, (p + 1) * d) for p in phys_in]
     ) if phys_in else np.array([], dtype=int)
-    out[np.ix_(rows, cols)] = s.matrix
+    out[(Ellipsis, *np.ix_(rows, cols))] = s.matrix
 
     fict_in = list(range(spec.left_in, k)) + [k + j for j in range(spec.right_in, k)]
     fict_out = list(range(spec.left_out, k)) + [k + j for j in range(spec.right_out, k)]
     for p_in, p_out in zip(fict_in, fict_out):
-        out[p_out * d:(p_out + 1) * d, p_in * d:(p_in + 1) * d] = np.eye(d)
+        out[..., p_out * d:(p_out + 1) * d, p_in * d:(p_in + 1) * d] = np.eye(d)
 
     return ScatteringMatrix._trusted(out, PortSpec(k, k, k, k, d))
 
@@ -201,34 +214,37 @@ def extract_physical(
     row_mask[rows] = False
     fict_cols = np.flatnonzero(col_mask)
     fict_rows = np.flatnonzero(row_mask)
-    cross = 0.0
-    if fict_cols.size:
-        cross = max(cross, max_abs(s_bar.matrix[np.ix_(rows, fict_cols)]))
-    if fict_rows.size:
-        cross = max(cross, max_abs(s_bar.matrix[np.ix_(fict_rows, cols)]))
-    if cross > DECOUPLING_TOL:
+    m = s_bar.matrix
+    cross = np.maximum(
+        max_abs(m[(Ellipsis, *np.ix_(rows, fict_cols))]),
+        max_abs(m[(Ellipsis, *np.ix_(fict_rows, cols))]),
+    )
+    if not cross <= DECOUPLING_TOL:
         raise DecouplingViolationError(
             f"physical/fictitious cross-coupling {cross:.3e} exceeds "
             f"{DECOUPLING_TOL:.0e}"
         )
-    return ScatteringMatrix._trusted(s_bar.matrix[np.ix_(rows, cols)], spec)
+    return ScatteringMatrix._trusted(m[(Ellipsis, *np.ix_(rows, cols))], spec)
 
 
 @dataclass(frozen=True)
 class KernelDecouplingReport:
     """Residuals of the Kostrykin-Schrader decoupling conditions, one
-    4-tuple per loop-kernel vector."""
+    4-tuple per loop-kernel vector (over all rows of a stack)."""
 
     kernel_dim: int
     residuals: tuple
 
     @property
     def max_residual(self) -> float:
-        return max((r for quad in self.residuals for r in quad), default=0.0)
+        flat = [r for quad in self.residuals for r in quad]
+        # np.max keeps a NaN residual; the builtin max could drop it.
+        return float(np.max(flat)) if flat else 0.0
 
     @property
     def ok(self) -> bool:
-        return self.max_residual < DECOUPLING_TOL
+        # Written so that a NaN residual fails.
+        return all(r < DECOUPLING_TOL for quad in self.residuals for r in quad)
 
 
 def _kernel_residuals(kmat, s2, s1) -> tuple:
@@ -245,16 +261,23 @@ def _kernel_residuals(kmat, s2, s1) -> tuple:
 
 
 def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix):
-    """Pseudo-inverse of the loop matrix and the decoupling report of its
-    kernel.  One SVD serves both; the residuals are computed only when the
-    loop is singular."""
+    """Pseudo-inverse of the loop matrix (of every row of a stack) and the
+    decoupling report of its kernel.  One batched SVD serves both; the
+    residuals are computed only for the rows whose loop is singular, and
+    merged into one report."""
     loop = loop_matrix(s2, s1)
-    if loop.shape[0] == 0:
+    if loop.shape[-1] == 0:
         return loop, KernelDecouplingReport(0, ())
     linv, sing, v = pseudo_inverse(loop)
-    kmat = v[:, sing < KERNEL_SV_TOL]
-    residuals = _kernel_residuals(kmat, s2, s1) if kmat.shape[1] else ()
-    return linv, KernelDecouplingReport(kmat.shape[1], residuals)
+    singular = sing[..., -1] < KERNEL_SV_TOL
+    if not singular.any():
+        return linv, KernelDecouplingReport(0, ())
+    kernel_dim, residuals = 0, ()
+    for i in filter(singular.__getitem__, np.ndindex(singular.shape)):
+        kmat = v[i][:, sing[i] < KERNEL_SV_TOL]
+        kernel_dim += kmat.shape[1]
+        residuals += _kernel_residuals(kmat, s2.row(i), s1.row(i))
+    return linv, KernelDecouplingReport(kernel_dim, residuals)
 
 
 def kernel_decoupling_check(
@@ -281,6 +304,8 @@ def star(
     the Kostrykin-Schrader decoupling conditions are verified rather than
     assumed.  When both inputs are unitary (verified, or measured here) the
     output must be unitary too; it then carries the ``verified`` bit.
+    Stacks are composed row by row in one pass; the gates measure the worst
+    row and the bit covers the whole stack.
     """
     _validate_pair(s2, s1)
     if wiring is not None:
@@ -289,7 +314,7 @@ def star(
     result = _star_direct(s2, s1)
     if _is_unitary(s1) and _is_unitary(s2):
         defect = unitarity_defect(result.matrix)
-        if defect > RESULT_UNITARITY_TOL:
+        if not defect <= RESULT_UNITARITY_TOL:
             raise InternalConsistencyError(
                 f"star of unitary inputs has unitarity defect {defect:.3e}"
             )
@@ -346,12 +371,12 @@ def star_via_series(
     if wiring is not None:
         s2 = _apply_wiring(s2, s1, wiring)
     hop = s2.block("L", "L") @ s1.block("R", "R")
-    if hop.shape[0] and operator_norm(hop) >= 1.0:
+    if hop.shape[-1] and operator_norm(hop) >= 1.0:
         raise SeriesDivergentError(
             "geometric series diverges: ||S2^{L,L} S1^{R,R}|| >= 1"
         )
-    linv = np.eye(hop.shape[0], dtype=complex)
-    term = np.eye(hop.shape[0], dtype=complex)
+    linv = np.eye(hop.shape[-1], dtype=complex)
+    term = np.eye(hop.shape[-1], dtype=complex)
     for _ in range(max_terms):
         term = term @ hop
         if max_abs(term) < tol:

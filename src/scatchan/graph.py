@@ -5,6 +5,8 @@ Vertices carry local scattering matrices; slots are addressed flat
 edges identify an out-slot of one vertex with an in-slot of another; every
 remaining slot must appear in the ordered dangling lists.  Edges carry no
 propagation phase: free propagation is modeled as an explicit vertex.
+Vertex matrices may be stacks of equal leading shape (one matrix per energy,
+say); contraction then yields the stack of global matrices.
 """
 
 from __future__ import annotations
@@ -266,8 +268,9 @@ def contract(g: QuantumGraph, order=None) -> ScatteringMatrix:
     smaller id.  Default order: ascending vertex id, pairwise.
 
     The topology is validated and its merges are precompiled once, then
-    reused for every graph of the same topology (an energy sweep rebuilds
-    the same graph with new numbers at every point).
+    reused for every graph of the same topology.  The plan depends only on
+    port specs, so it contracts vertex stacks (one matrix per energy of a
+    sweep) in one pass as well.
     """
     plan = _compile(
         tuple((vid, s.spec) for vid, s in g.vertices),

@@ -1,7 +1,9 @@
 """Dense complex-matrix kernels used by every other module.
 
-All matrices are plain ``numpy.ndarray`` of dtype complex128.  The JSON
-literal form used across the repo is
+All matrices are plain ``numpy.ndarray`` of dtype complex128.  The kernels
+that composition uses (:func:`as_matrix`, :func:`svd`,
+:func:`pseudo_inverse`) take one matrix or a stack of matrices along leading
+axes, decomposed row by row.  The JSON literal form used across the repo is
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with row-major data.
 """
 
@@ -15,12 +17,22 @@ DEFAULT_REL_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
+    """Coerce to a finite complex matrix, or a stack of matrices along
+    leading axes (``ndim >= 2``)."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise InvalidInputError(f"expected a matrix or a stack, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix contains NaN or Inf entries")
+    return m
+
+
+def as_single_matrix(a) -> np.ndarray:
+    """:func:`as_matrix` for consumers that take one 2-D matrix, never a
+    stack."""
+    m = as_matrix(a)
+    if m.ndim != 2:
+        raise InvalidInputError(f"expected one 2-D matrix, got shape {m.shape}")
     return m
 
 
@@ -28,33 +40,37 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition A = U diag(sigma) V^dag.
 
     Returns (U, sigma, V) with sigma nonnegative and sorted descending,
-    U and V unitary.  Note the third factor is V, not V^dag.
+    U and V unitary.  Note the third factor is V, not V^dag.  A stack is
+    decomposed row by row.
     """
     m = as_matrix(a)
     u, s, vh = np.linalg.svd(m)
-    return u, s, vh.conj().T
+    return u, s, vh.conj().swapaxes(-1, -2)
 
 
 def pseudo_inverse(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Moore-Penrose pseudo-inverse via one SVD.
 
-    Singular values below DEFAULT_REL_TOL * sigma_max are treated as exactly
-    zero.  Returns (A^+, sigma, V) with sigma and V as from :func:`svd`, so
-    a caller can read the kernel of A without a second decomposition.
+    Singular values below DEFAULT_REL_TOL * sigma_max (of each row of a
+    stack) are treated as exactly zero.  Returns (A^+, sigma, V) with sigma
+    and V as from :func:`svd`, so a caller can read the kernel of A without
+    a second decomposition.
     """
     u, s, v = svd(a)
-    k = s.size
-    cutoff = DEFAULT_REL_TOL * s[0] if k else 0.0
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (v[:, :k] * inv_s) @ u[:, :k].conj().T, s, v
+    k = s.shape[-1]
+    keep = s > DEFAULT_REL_TOL * s[..., :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    pinv = (v[..., :k] * inv_s[..., None, :]) @ u[..., :k].conj().swapaxes(-1, -2)
+    return pinv, s, v
 
 
 def operator_norm(a) -> float:
-    """Largest singular value (induced 2-norm)."""
+    """Largest singular value (induced 2-norm); of a stack, the largest
+    over its rows."""
     m = as_matrix(a)
-    if min(m.shape) == 0:
+    if min(m.shape[-2:]) == 0:
         return 0.0
-    return float(np.linalg.norm(m, ord=2))
+    return float(np.max(np.linalg.svd(m, compute_uv=False)))
 
 
 def max_abs(a) -> float:
@@ -67,7 +83,7 @@ def max_abs(a) -> float:
 
 def matrix_to_json(a) -> dict:
     """Serialize to the repo-wide matrix literal."""
-    m = as_matrix(a)
+    m = as_single_matrix(a)
     data = [[float(z.real), float(z.imag)] for z in m.ravel()]
     return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
 

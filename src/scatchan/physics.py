@@ -6,10 +6,18 @@ lengths in units of 1/k0 with k0 = sqrt(2 m V0)/hbar.  A particle with
 energy ratio Et sees wavenumber k = sqrt(Et); inside a barrier of relative
 height h the decay constant is kappa = sqrt(h - Et), continued to
 i*sqrt(Et - h) above the top.  One complex code path covers both regimes.
+
+Both routes to the transmission operator run on a whole energy grid at
+once: the closed form (:func:`closed_form_amplitudes`) and the graph
+pipeline (:func:`pipeline_amplitudes`), which contracts stacks of scattering
+matrices with one entry per energy.  The one-energy calls
+(:func:`closed_form_m`, :func:`pipeline_m`, :func:`barrier_smatrix`, ...)
+are their one-point cases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -35,6 +43,9 @@ class BarrierParams:
     eta: float = 0.0  # deflection probability of the loss scatterer
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise InvalidInputError(f"non-finite barrier parameters: {', '.join(bad)}")
         if not self.energy_ratio > 0:
             raise InvalidInputError(f"energy ratio must be positive, got {self.energy_ratio}")
         if not self.half_width > 0:
@@ -78,28 +89,42 @@ def barrier_coefficients(energy_ratio, height, half_width):
     return refl, trans
 
 
-def barrier_smatrix(p: BarrierParams) -> ScatteringMatrix:
-    """The 4x4 spin-resolved barrier scatterer (d=2, one slot per side)."""
+def _barrier_stack(base: BarrierParams, energies) -> ScatteringMatrix:
+    """The 4x4 spin-resolved barrier scatterer (d=2, one slot per side) at
+    each energy: one matrix for a scalar, a stack for a 1-D grid."""
+    energies = np.asarray(energies, dtype=float)
     refl, trans = barrier_coefficients(
-        p.energy_ratio, np.array([1.0 + p.epsilon, 1.0 - p.epsilon]), p.half_width
+        energies[..., None], np.array([1.0 + base.epsilon, 1.0 - base.epsilon]),
+        base.half_width,
     )
     # [[R, T], [T, R]] with R = diag(r_up, r_dn) and T = diag(t_up, t_dn)
-    matrix = np.zeros((4, 4), dtype=complex)
+    matrix = np.zeros(energies.shape + (4, 4), dtype=complex)
     i = np.arange(4)
-    matrix[i, i] = np.concatenate((refl, refl))
-    matrix[i, (i + 2) % 4] = np.concatenate((trans, trans))
+    matrix[..., i, i] = np.concatenate((refl, refl), axis=-1)
+    matrix[..., i, (i + 2) % 4] = np.concatenate((trans, trans), axis=-1)
     return ScatteringMatrix(matrix, PortSpec(1, 1, 1, 1, 2))
 
 
-def translated_barrier(s1: ScatteringMatrix, p: BarrierParams) -> ScatteringMatrix:
+def barrier_smatrix(p: BarrierParams) -> ScatteringMatrix:
+    """The 4x4 spin-resolved barrier scatterer at ``p.energy_ratio``."""
+    return _barrier_stack(p, p.energy_ratio)
+
+
+def _translated_stack(s1: ScatteringMatrix, separation: float, energies) -> ScatteringMatrix:
     """Second barrier: the first one shifted by the separation w, which
-    multiplies the reflection blocks by exp(+-i phi) with phi = 2 k w."""
-    phi = 2.0 * np.sqrt(p.energy_ratio) * p.separation
+    multiplies the reflection blocks by exp(+-i phi) with phi = 2 k w, at
+    each energy of ``s1``'s stack."""
+    phi = (2.0 * np.sqrt(np.asarray(energies, dtype=float)) * separation)[..., None, None]
     d = s1.spec.dim
     matrix = np.array(s1.matrix)
-    matrix[:d, :d] *= np.exp(1j * phi)
-    matrix[d:, d:] *= np.exp(-1j * phi)
+    matrix[..., :d, :d] *= np.exp(1j * phi)
+    matrix[..., d:, d:] *= np.exp(-1j * phi)
     return ScatteringMatrix(matrix, s1.spec)
+
+
+def translated_barrier(s1: ScatteringMatrix, p: BarrierParams) -> ScatteringMatrix:
+    """:func:`barrier_smatrix` shifted by ``p.separation`` at ``p.energy_ratio``."""
+    return _translated_stack(s1, p.separation, p.energy_ratio)
 
 
 @lru_cache(maxsize=32)
@@ -125,11 +150,9 @@ def loss_smatrix(eta: float) -> ScatteringMatrix:
     return ScatteringMatrix(np.kron(pattern, np.eye(2)), PortSpec(2, 2, 2, 2, 2))
 
 
-def single_barrier_graph(p: BarrierParams) -> QuantumGraph:
+def _single_graph(barrier: ScatteringMatrix, loss: ScatteringMatrix) -> QuantumGraph:
     """Barrier followed by the loss scatterer; Alice on port 1, Bob on the
     continuing-line output, port 4."""
-    barrier = barrier_smatrix(p)
-    loss = loss_smatrix(p.eta)
     return QuantumGraph.build(
         vertices=[(1, barrier), (2, loss)],
         internal_edges=[((1, 1), (2, 0)), ((2, 0), (1, 1))],
@@ -138,12 +161,9 @@ def single_barrier_graph(p: BarrierParams) -> QuantumGraph:
     )
 
 
-def double_barrier_graph(p: BarrierParams) -> QuantumGraph:
+def _double_graph(barrier, loss, second) -> QuantumGraph:
     """Barrier, loss scatterer, and the translated second barrier; Alice
     on port 1, Bob past the second barrier on port 4."""
-    barrier = barrier_smatrix(p)
-    loss = loss_smatrix(p.eta)
-    second = translated_barrier(barrier, p)
     return QuantumGraph.build(
         vertices=[(1, barrier), (2, loss), (3, second)],
         internal_edges=[
@@ -157,12 +177,48 @@ def double_barrier_graph(p: BarrierParams) -> QuantumGraph:
     )
 
 
+def single_barrier_graph(p: BarrierParams) -> QuantumGraph:
+    """The single-barrier line at ``p.energy_ratio``."""
+    return _single_graph(barrier_smatrix(p), loss_smatrix(p.eta))
+
+
+def double_barrier_graph(p: BarrierParams) -> QuantumGraph:
+    """The double-barrier line at ``p.energy_ratio``."""
+    barrier = barrier_smatrix(p)
+    return _double_graph(barrier, loss_smatrix(p.eta), translated_barrier(barrier, p))
+
+
+def pipeline_amplitudes(base: BarrierParams, energies) -> dict:
+    """Transmission operators computed through graph contraction on an
+    energy grid; the independent cross-check for
+    :func:`closed_form_amplitudes`.
+
+    Keys ``single`` and ``double``, each a stack of 2x2 operators (spin up
+    first), one per energy; the whole operator is kept, so a spurious
+    spin-mixing entry shows in a comparison with the diagonal closed form.
+    The barrier stack is built and checked once for both configurations,
+    and each graph is contracted once for the whole grid.
+    """
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1:
+        raise InvalidInputError("energies must be a 1-D sequence")
+    barrier = _barrier_stack(base, energies)
+    loss = loss_smatrix(base.eta).broadcast_to(energies.shape)
+    second = _translated_stack(barrier, base.separation, energies)
+    graphs = (("single", _single_graph(barrier, loss)),
+              ("double", _double_graph(barrier, loss, second)))
+    return {
+        cfg: transmission_operator(contract(g), in_port=1, out_port=4)
+        for cfg, g in graphs
+    }
+
+
 def pipeline_m(p: BarrierParams, double: bool) -> np.ndarray:
-    """Transmission operator computed through graph contraction; the
-    independent cross-check for :func:`closed_form_m`."""
-    g = double_barrier_graph(p) if double else single_barrier_graph(p)
-    s_g = contract(g)
-    return transmission_operator(s_g, in_port=1, out_port=4)
+    """Transmission operator through graph contraction at one energy; the
+    one-point call of :func:`pipeline_amplitudes`, mirroring
+    :func:`closed_form_m`."""
+    piped = pipeline_amplitudes(p, [p.energy_ratio])
+    return piped["double" if double else "single"][0]
 
 
 @dataclass(frozen=True)
@@ -227,12 +283,22 @@ def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
     return out
 
 
+def closed_form_operators(amp: dict, cfg: str) -> np.ndarray:
+    """The diagonal 2x2 transmission operators of configuration ``cfg``
+    ('single' or 'double') from :func:`closed_form_amplitudes`, stacked
+    like :func:`pipeline_amplitudes`."""
+    up = amp[f"{cfg}_up"]
+    out = np.zeros(up.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = up
+    out[..., 1, 1] = amp[f"{cfg}_dn"]
+    return out
+
+
 def closed_form_m(p: BarrierParams, double: bool) -> np.ndarray:
     """Closed-form transmission operator at one energy; mirrors
     :func:`pipeline_m`."""
     amp = closed_form_amplitudes(p, [p.energy_ratio])
-    cfg = "double" if double else "single"
-    return np.diag([amp[f"{cfg}_up"][0], amp[f"{cfg}_dn"][0]])
+    return closed_form_operators(amp, "double" if double else "single")[0]
 
 
 def energy_sweep(
@@ -243,17 +309,18 @@ def energy_sweep(
     """Sweep the energy grid in one vectorized closed-form pass.
 
     Every ``cross_check_every``-th grid point is recomputed through the
-    graph-contraction pipeline; a gap above PIPELINE_MATCH_TOL (or a NaN)
-    raises InternalConsistencyError, as does a closed form that fails its
-    own resonance-floor or unit-amplitude check.  ``cross_check_every=0``
+    graph-contraction pipeline, all of them in one batched
+    :func:`pipeline_amplitudes` call; a gap above PIPELINE_MATCH_TOL (or a
+    NaN) raises InternalConsistencyError, as does a closed form that fails
+    its own resonance-floor or unit-amplitude check.  ``cross_check_every=0``
     skips the pipeline.
     """
     energies = np.asarray(grid, dtype=float)
     if energies.ndim != 1 or energies.size < 1:
         raise InvalidInputError("energy grid must be a nonempty 1-D sequence")
-    if np.any(energies <= 0):
-        raise InvalidInputError("energy grid must be positive")
-    if np.any(np.diff(energies) <= 0):
+    if not np.all(np.isfinite(energies) & (energies > 0)):
+        raise InvalidInputError("energy grid must be finite and positive")
+    if not np.all(np.diff(energies) > 0):
         raise InvalidInputError("energy grid must be strictly increasing")
 
     amp = closed_form_amplitudes(base, energies)
@@ -272,21 +339,20 @@ def energy_sweep(
     sa = (q_low_d > 0.0) & (q_up_s <= 0.0)
 
     if cross_check_every > 0:
-        for i in range(0, energies.size, cross_check_every):
-            p = BarrierParams(
-                float(energies[i]), base.epsilon, base.half_width,
-                base.separation, base.eta,
-            )
-            closed_s = np.diag([amp["single_up"][i], amp["single_dn"][i]])
-            closed_d = np.diag([amp["double_up"][i], amp["double_dn"][i]])
-            for closed, double in ((closed_s, False), (closed_d, True)):
-                piped = pipeline_m(p, double=double)
-                gap = float(np.max(np.abs(piped - closed)))
-                if not gap <= PIPELINE_MATCH_TOL:
-                    raise InternalConsistencyError(
-                        f"closed-form/pipeline mismatch {gap:.3e} at "
-                        f"E/V0={energies[i]:.6f} (double={double})"
-                    )
+        pick = slice(None, None, cross_check_every)
+        checked = energies[pick]
+        piped = pipeline_amplitudes(base, checked)
+        picked = {key: value[pick] for key, value in amp.items()}
+        for cfg in ("single", "double"):
+            closed = closed_form_operators(picked, cfg)
+            gap = np.max(np.abs(piped[cfg] - closed), axis=(-2, -1))
+            bad = np.flatnonzero(~(gap <= PIPELINE_MATCH_TOL))
+            if bad.size:
+                i = bad[0]
+                raise InternalConsistencyError(
+                    f"closed-form/pipeline mismatch {gap[i]:.3e} at "
+                    f"E/V0={checked[i]:.6f} (double={cfg == 'double'})"
+                )
 
     return SweepTable(
         energies, p_up_s, p_dn_s, p_up_d, p_dn_d,

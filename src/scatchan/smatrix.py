@@ -3,6 +3,10 @@
 Slot ordering convention (fixed repo-wide): left-group slots first, then
 right-group slots; each slot is a contiguous block of ``dim`` internal
 amplitudes.  In-slots index columns, out-slots index rows.
+
+A ``ScatteringMatrix`` holds one matrix or a stack of matrices along leading
+axes (one per energy of a sweep, say), all under one port partition; block
+access and reindexing act on the last two axes.  Transfer matrices stay 2-D.
 """
 
 from __future__ import annotations
@@ -85,9 +89,10 @@ class PortSpec:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Entrywise max-norm of S^dag S - 1 (square matrices only)."""
+    """Entrywise max-norm of S^dag S - 1 (square matrices only); of a
+    stack, that of its worst row."""
     m = np.asarray(matrix)
-    return max_abs(m.conj().T @ m - np.eye(m.shape[1]))
+    return max_abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))
 
 
 class ScatteringMatrix:
@@ -95,18 +100,19 @@ class ScatteringMatrix:
 
     Immutable after construction; the underlying array is write-locked.
     ``verified`` is True only when unitarity within ``UNITARITY_TOL`` has
-    been measured: by the checked constructor, or by the output gate of
-    ``composer.star``.  Consumers may then skip measuring it again.
+    been measured (for a stack: of every row): by the checked constructor,
+    or by the output gate of ``composer.star``.  Consumers may then skip
+    measuring it again.
     """
 
     def __init__(self, matrix, spec: PortSpec, check: bool = True):
         m = as_matrix(matrix).copy()
-        if m.shape != (spec.out_dim, spec.in_dim):
+        if m.shape[-2:] != (spec.out_dim, spec.in_dim):
             raise InvalidInputError(
                 f"matrix shape {m.shape} does not match spec "
                 f"({spec.out_dim}, {spec.in_dim})"
             )
-        if check and m.shape[0] == m.shape[1]:
+        if check and m.shape[-2] == m.shape[-1]:
             defect = unitarity_defect(m)
             if defect > UNITARITY_TOL:
                 raise NonUnitaryError(
@@ -133,7 +139,7 @@ class ScatteringMatrix:
             cols = slice(self.spec.left_in * d, self.spec.in_dim)
         else:
             raise InvalidInputError(f"unknown in group {in_group!r}")
-        return self.matrix[rows, cols]
+        return self.matrix[..., rows, cols]
 
     def slot_block(self, out_slot: int, in_slot: int) -> np.ndarray:
         """The dim x dim sub-block for a single (out-slot, in-slot) pair,
@@ -141,7 +147,7 @@ class ScatteringMatrix:
         d = self.spec.dim
         if not (0 <= out_slot < self.spec.total_out and 0 <= in_slot < self.spec.total_in):
             raise InvalidInputError(f"slot pair ({out_slot}, {in_slot}) out of range")
-        return self.matrix[out_slot * d:(out_slot + 1) * d, in_slot * d:(in_slot + 1) * d]
+        return self.matrix[..., out_slot * d:(out_slot + 1) * d, in_slot * d:(in_slot + 1) * d]
 
     @classmethod
     def _trusted(
@@ -159,9 +165,21 @@ class ScatteringMatrix:
         obj.verified = verified
         return obj
 
+    def row(self, i) -> "ScatteringMatrix":
+        """Matrix ``i`` of a stack, with the stack's bit."""
+        return ScatteringMatrix._trusted(self.matrix[i], self.spec, self.verified)
+
+    def broadcast_to(self, lead: tuple) -> "ScatteringMatrix":
+        """This matrix repeated along leading axes of shape ``lead`` (a
+        read-only view).  The copies are exact, so the bit carries over."""
+        shape = tuple(lead) + self.matrix.shape[-2:]
+        return ScatteringMatrix._trusted(
+            np.broadcast_to(self.matrix, shape), self.spec, self.verified
+        )
+
     def reindexed(self, index, spec: PortSpec) -> "ScatteringMatrix":
-        """Rows/columns picked by a precomputed ``np.ix_`` pair of slot
-        permutations (see :func:`slot_permutation_index`), under ``spec``.
+        """Rows/columns picked by a precomputed slot-permutation index
+        (see :func:`slot_permutation_index`), under ``spec``.
 
         A permutation preserves unitarity exactly, so the bit carries over.
         """
@@ -193,8 +211,9 @@ class ScatteringMatrix:
 
 
 def slot_permutation_index(in_slots, out_slots, dim: int):
-    """``np.ix_`` element index that reorders slots: row block i of the
-    result is out-slot ``out_slots[i]``, column block j is in-slot
+    """Element index ``(Ellipsis, *np.ix_(rows, cols))`` that reorders the
+    slots of a matrix or of every row of a stack: row block i of the result
+    is out-slot ``out_slots[i]``, column block j is in-slot
     ``in_slots[j]``."""
 
     def expand(slots):
@@ -204,7 +223,7 @@ def slot_permutation_index(in_slots, out_slots, dim: int):
     index = np.ix_(expand(out_slots), expand(in_slots))
     for part in index:  # compiled contraction plans share these
         part.flags.writeable = False
-    return index
+    return (Ellipsis, *index)
 
 
 @dataclass(frozen=True)
@@ -259,8 +278,8 @@ def _checked_inverse(block: np.ndarray, what: str) -> np.ndarray:
 
 def s_to_t(s: ScatteringMatrix) -> TransferMatrix:
     """Convert a homogeneous scattering matrix to its transfer matrix."""
-    if not s.spec.homogeneous:
-        raise InvalidInputError("s_to_t needs equal left/right port groups")
+    if not s.spec.homogeneous or s.matrix.ndim != 2:
+        raise InvalidInputError("s_to_t needs one matrix with equal left/right port groups")
     s_ll, s_lr = s.block("L", "L"), s.block("L", "R")
     s_rl, s_rr = s.block("R", "L"), s.block("R", "R")
     inv_lr = _checked_inverse(s_lr, "S^{L,R}")

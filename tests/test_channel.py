@@ -42,6 +42,11 @@ class TestTransmissionOperator:
             transmission_operator(SWAP_D2, in_port=1, out_port=5)
 
 
+def test_channel_rejects_a_stack():
+    with pytest.raises(InvalidInputError):
+        ErasureChannel(np.stack([np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2))]))
+
+
 class TestApply:
     def test_identity_m_keeps_state(self):
         rng = np.random.default_rng(0)

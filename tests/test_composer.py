@@ -14,6 +14,7 @@ from scatchan.composer import (
 )
 from scatchan.errors import (
     DecouplingViolationError,
+    InternalConsistencyError,
     InvalidInputError,
     SeriesDivergentError,
 )
@@ -23,6 +24,7 @@ from scatchan.smatrix import PortSpec, ScatteringMatrix, s_to_t, t_to_s, unitari
 from conftest import (
     bounded_loop_smatrix,
     dishomogeneous_singular_loop_pair,
+    dishomogeneous_specs,
     random_dishomogeneous_pair,
     random_smatrix,
     random_unitary,
@@ -296,6 +298,111 @@ class TestVerifiedInputs:
         assert not h.verified
 
 
+def stacked(rows, check=True):
+    """One ScatteringMatrix holding the matrices of ``rows`` along a leading
+    axis; all rows share the first row's spec."""
+    return ScatteringMatrix(np.stack([r.matrix for r in rows]), rows[0].spec, check=check)
+
+
+def dishomogeneous_rows(rng, d, n):
+    """``n`` random unitary pairs (s2, s1) sharing one dishomogeneous spec."""
+    spec2, spec1 = dishomogeneous_specs(rng)
+
+    def draw(spec):
+        return ScatteringMatrix(random_unitary(rng, (spec[0] + spec[2]) * d), PortSpec(*spec, d))
+
+    return [(draw(spec2), draw(spec1)) for _ in range(n)]
+
+
+class TestStacks:
+    """A stack along a leading axis goes through the same code as one
+    matrix and gives, row by row, what one matrix gives."""
+
+    @staticmethod
+    def assert_rowwise(pairs):
+        s2 = stacked([p[0] for p in pairs])
+        s1 = stacked([p[1] for p in pairs])
+        got = star(s2, s1)
+        assert got.matrix.shape == (len(pairs),) + star(*pairs[0]).matrix.shape
+        assert got.verified
+        for i, (r2, r1) in enumerate(pairs):
+            assert max_abs(got.matrix[i] - star(r2, r1).matrix) <= 1e-13
+        return got
+
+    def test_homogeneous_pairs(self):
+        rng = np.random.default_rng(50)
+        for k, d in ((1, 1), (1, 2), (2, 2), (3, 1)):
+            self.assert_rowwise(
+                [(random_smatrix(rng, k, d), random_smatrix(rng, k, d)) for _ in range(6)]
+            )
+
+    def test_dishomogeneous_pairs(self):
+        rng = np.random.default_rng(51)
+        for _ in range(10):
+            self.assert_rowwise(dishomogeneous_rows(rng, int(rng.integers(1, 3)), 5))
+
+    def test_oracles_take_stacks(self):
+        rng = np.random.default_rng(56)
+        pairs = [(bounded_loop_smatrix(rng, 2, 1), bounded_loop_smatrix(rng, 2, 1))
+                 for _ in range(5)]
+        s2, s1 = stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+        assert max_abs(star_via_series(s2, s1, tol=1e-14).matrix - star(s2, s1).matrix) < 1e-8
+        pairs = dishomogeneous_rows(rng, 2, 4)
+        s2, s1 = stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+        assert max_abs(star_via_padding(s2, s1).matrix - star(s2, s1).matrix) <= 1e-12
+
+    def test_singular_loop_rows_among_regular_ones(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        pairs = [singular_loop_pair(rng, 2, 2) if i % 2 else
+                 (random_smatrix(rng, 2, 2), random_smatrix(rng, 2, 2))
+                 for i in range(6)]
+        self.assert_rowwise(pairs)
+        rowwise = [kernel_decoupling_check(*p) for p in pairs]
+        s2, s1 = stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+        calls = []
+        original = composer._kernel_residuals
+
+        def counted(kmat, s2, s1):
+            calls.append(kmat.shape[1])
+            return original(kmat, s2, s1)
+
+        monkeypatch.setattr(composer, "_kernel_residuals", counted)
+        merged = kernel_decoupling_check(s2, s1)
+        # One kernel check per singular row, none for the regular ones.
+        assert calls == [r.kernel_dim for r in rowwise if r.kernel_dim]
+        assert merged.kernel_dim == sum(r.kernel_dim for r in rowwise) >= 3
+        assert merged.residuals == sum((r.residuals for r in rowwise), ())
+        assert merged.max_residual < 1e-8
+
+    def test_one_coupling_kernel_row_fails_the_stack(self):
+        rng = np.random.default_rng(53)
+        good2, good1 = singular_loop_pair(rng, 1, 1)
+        # A non-unitary pair with loop 1 - 1*1 = 0 whose kernel mode leaks
+        # out through s1's left-right block.
+        bad1 = ScatteringMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), SPEC11, check=False)
+        bad2 = ScatteringMatrix(np.eye(2), SPEC11)
+        s2 = stacked([good2, bad2, good2])
+        s1 = stacked([good1, bad1, good1], check=False)
+        with pytest.raises(InternalConsistencyError, match="kernel modes couple"):
+            star(s2, s1)
+        star(stacked([good2]), stacked([good1]))  # the good rows alone compose
+
+    def test_stack_shapes_must_agree(self):
+        rng = np.random.default_rng(54)
+        rows = [random_smatrix(rng, 1, 1) for _ in range(3)]
+        with pytest.raises(InvalidInputError, match="stack shapes differ"):
+            star(stacked(rows), rows[0])
+
+
+def test_nan_output_defect_fails_the_gate(monkeypatch):
+    rng = np.random.default_rng(55)
+    s1, s2 = random_smatrix(rng, 1, 2), random_smatrix(rng, 1, 2)
+    assert s1.verified and s2.verified
+    monkeypatch.setattr(composer, "unitarity_defect", lambda m: float("nan"))
+    with pytest.raises(InternalConsistencyError, match="unitarity defect nan"):
+        star(s2, s1)
+
+
 class TestKernelDecoupling:
     def test_aligned_reflectors(self):
         report = kernel_decoupling_check(
@@ -303,6 +410,11 @@ class TestKernelDecoupling:
         )
         assert report.kernel_dim == 1
         assert report.max_residual == 0.0
+
+    def test_nan_residual_is_not_dropped(self):
+        report = composer.KernelDecouplingReport(1, ((0.0, np.nan, 0.0, 0.0),))
+        assert np.isnan(report.max_residual)
+        assert not report.ok
 
     def test_swap_pair_empty_kernel(self):
         report = kernel_decoupling_check(SWAP, SWAP)

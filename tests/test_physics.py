@@ -16,6 +16,7 @@ from scatchan.physics import (
     double_barrier_graph,
     energy_sweep,
     loss_smatrix,
+    pipeline_amplitudes,
     pipeline_m,
     single_barrier_graph,
     translated_barrier,
@@ -205,6 +206,31 @@ class TestClosedForms:
             assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
 
 
+class TestPipelineAmplitudes:
+    def test_matches_the_one_point_call(self):
+        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        energies = np.linspace(0.005, 2.0, 200)
+        piped = pipeline_amplitudes(base, energies)
+        for cfg, double in (("single", False), ("double", True)):
+            assert piped[cfg].shape == (200, 2, 2)
+            for i, e in enumerate(energies):
+                p = BarrierParams(float(e), 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+                assert max_abs(piped[cfg][i] - pipeline_m(p, double)) <= 1e-13
+
+    def test_builds_the_barrier_stack_once(self, monkeypatch):
+        built = []
+        original = physics.barrier_coefficients
+
+        def counted(*args):
+            built.append(np.shape(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(physics, "barrier_coefficients", counted)
+        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        pipeline_amplitudes(base, np.linspace(0.1, 0.9, 7))
+        assert built == [(7, 1)]
+
+
 class TestPipelineGraphs:
     def test_graphs_validate(self):
         p = BarrierParams(0.5, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
@@ -293,10 +319,31 @@ class TestLoudFailures:
         assert cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 3
         assert not (tmp_path / "out" / "opaque.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("half_width", float("inf")),
+        ("separation", float("nan")),
+        ("grid", {"start": 0.1, "stop": float("inf"), "points": 5}),
+    ])
+    def test_nonfinite_scenario_exits_2(self, tmp_path, capsys, field, value):
+        scenario = {
+            "kind": "barrier-sweep", "epsilon": 0.1, "eta": 0.1,
+            "half_width": HALF_WIDTH_REF, "separation": SEPARATION_REF,
+            "cross_check_every": 0,
+            "grid": {"start": 0.1, "stop": 0.9, "points": 5},
+        }
+        scenario[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(scenario))
+        assert cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_pipeline_fails_the_gates(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            physics, "pipeline_m", lambda p, double: np.full((2, 2), np.nan)
-        )
+        def nan_pipeline(base, energies):
+            nan = np.full((len(energies), 2, 2), np.nan)
+            return {"single": nan, "double": nan}
+
+        monkeypatch.setattr(physics, "pipeline_amplitudes", nan_pipeline)
         base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
         with pytest.raises(InternalConsistencyError, match="mismatch nan"):
             energy_sweep(base, np.linspace(0.1, 0.9, 5), cross_check_every=1)
