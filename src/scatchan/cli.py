@@ -245,19 +245,16 @@ def verify_barrier_sweep(sc: dict, out) -> float:
         worst = np.maximum(worst, np.max(np.abs(gap)))
 
     # star vs geometric series on the barrier pair at a contractive energy
-    p_mid = physics.BarrierParams(
-        float(sample[len(sample) // 2]), base.epsilon,
-        base.half_width, base.separation, base.eta,
-    )
-    b1 = physics.barrier_smatrix(p_mid)
-    b2 = physics.translated_barrier(b1, p_mid)
+    e_mid = float(sample[len(sample) // 2])
+    b1 = physics.barrier_smatrix(base, e_mid)
+    b2 = physics.translated_barrier(b1, base.separation, e_mid)
     if operator_norm(b2.block("L", "L") @ b1.block("R", "R")) < 1.0:
         direct = composer.star(b2, b1)
         series = composer.star_via_series(b2, b1, tol=1e-14)
         worst = np.maximum(worst, max_abs(direct.matrix - series.matrix))
 
     # unitarity of the contracted double-barrier global matrix
-    s_g = contract(physics.double_barrier_graph(p_mid))
+    s_g = contract(physics.barrier_graphs(base, e_mid)["double"])
     worst = np.maximum(worst, unitarity_defect(s_g.matrix))
 
     # CPTP of the induced erasure channel

@@ -18,6 +18,9 @@ blocks are sliced on the last two axes, the loop matrices of a stack are
 decomposed in one batched SVD, and the kernel check runs only on the rows
 whose loop is singular.  A gate on a stack measures its worst row, so one
 bad row fails the whole stack.
+
+:func:`star` gates every result on unitarity and measures its inputs only
+when that gate fails, so a successful call makes one measurement.
 """
 
 from __future__ import annotations
@@ -52,13 +55,6 @@ class Wiring:
 
     s1_to_s2: tuple = field(default_factory=tuple)
     s2_to_s1: tuple = field(default_factory=tuple)
-
-    @classmethod
-    def identity(cls, m12: int, m21: int) -> "Wiring":
-        return cls(
-            tuple((i, i) for i in range(m12)),
-            tuple((i, i) for i in range(m21)),
-        )
 
     def to_json(self) -> dict:
         return {
@@ -287,11 +283,6 @@ def kernel_decoupling_check(
     return _loop_inverse(s2, s1)[1]
 
 
-def _is_unitary(s: ScatteringMatrix) -> bool:
-    """Measured unitarity, skipped for matrices already verified."""
-    return s.verified or unitarity_defect(s.matrix) <= UNITARITY_TOL
-
-
 def star(
     s2: ScatteringMatrix,
     s1: ScatteringMatrix,
@@ -302,27 +293,15 @@ def star(
     Homogeneous and dishomogeneous pairs alike are composed directly by the
     block formula (no padding).  Whenever the loop matrix is (near-)singular
     the Kostrykin-Schrader decoupling conditions are verified rather than
-    assumed.  When both inputs are unitary (verified, or measured here) the
-    output must be unitary too; it then carries the ``verified`` bit.
-    Stacks are composed row by row in one pass; the gates measure the worst
-    row and the bit covers the whole stack.
+    assumed.  The output is gated on unitarity first; only when that gate
+    fails (a NaN fails it too) are the inputs measured, and the call raises
+    unless one of them is itself non-unitary.  Stacks are composed row by
+    row in one pass; every measurement takes the worst row.
     """
     _validate_pair(s2, s1)
     if wiring is not None:
         s2 = _apply_wiring(s2, s1, wiring)
 
-    result = _star_direct(s2, s1)
-    if _is_unitary(s1) and _is_unitary(s2):
-        defect = unitarity_defect(result.matrix)
-        if not defect <= RESULT_UNITARITY_TOL:
-            raise InternalConsistencyError(
-                f"star of unitary inputs has unitarity defect {defect:.3e}"
-            )
-        result.verified = defect <= UNITARITY_TOL
-    return result
-
-
-def _star_direct(s2: ScatteringMatrix, s1: ScatteringMatrix) -> ScatteringMatrix:
     linv, report = _loop_inverse(s2, s1)
     if not report.ok:
         raise InternalConsistencyError(
@@ -330,7 +309,15 @@ def _star_direct(s2: ScatteringMatrix, s1: ScatteringMatrix) -> ScatteringMatrix
             f"output ports (residual {report.max_residual:.3e}); "
             "inputs are not unitary"
         )
-    return _assemble(s2, s1, linv)
+    result = _assemble(s2, s1, linv)
+    defect = unitarity_defect(result.matrix)
+    if not defect <= RESULT_UNITARITY_TOL and not any(
+        unitarity_defect(s.matrix) > UNITARITY_TOL for s in (s1, s2)
+    ):
+        raise InternalConsistencyError(
+            f"star of unitary inputs has unitarity defect {defect:.3e}"
+        )
+    return result
 
 
 def star_via_padding(

@@ -11,10 +11,8 @@ say); contraction then yields the stack of global matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .composer import star
 from .errors import InvalidInputError

@@ -10,9 +10,11 @@ i*sqrt(Et - h) above the top.  One complex code path covers both regimes.
 Both routes to the transmission operator run on a whole energy grid at
 once: the closed form (:func:`closed_form_amplitudes`) and the graph
 pipeline (:func:`pipeline_amplitudes`), which contracts stacks of scattering
-matrices with one entry per energy.  The one-energy calls
-(:func:`closed_form_m`, :func:`pipeline_m`, :func:`barrier_smatrix`, ...)
-are their one-point cases.
+matrices with one entry per energy.  :func:`closed_form_m` and
+:func:`pipeline_m` are their one-point calls.  The barrier-line builders
+(:func:`barrier_smatrix`, :func:`translated_barrier`,
+:func:`barrier_graphs`) take a grid or a single energy: one matrix for a
+scalar, a stack for a 1-D grid.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ def barrier_coefficients(energy_ratio, height, half_width):
     return refl, trans
 
 
-def _barrier_stack(base: BarrierParams, energies) -> ScatteringMatrix:
-    """The 4x4 spin-resolved barrier scatterer (d=2, one slot per side) at
-    each energy: one matrix for a scalar, a stack for a 1-D grid."""
+def barrier_smatrix(base: BarrierParams, energies) -> ScatteringMatrix:
+    """The 4x4 spin-resolved barrier scatterer (d=2, one slot per side) of
+    ``base``'s epsilon and half width at each energy: one matrix for a
+    scalar, a stack for a 1-D grid."""
     energies = np.asarray(energies, dtype=float)
     refl, trans = barrier_coefficients(
         energies[..., None], np.array([1.0 + base.epsilon, 1.0 - base.epsilon]),
@@ -105,12 +108,7 @@ def _barrier_stack(base: BarrierParams, energies) -> ScatteringMatrix:
     return ScatteringMatrix(matrix, PortSpec(1, 1, 1, 1, 2))
 
 
-def barrier_smatrix(p: BarrierParams) -> ScatteringMatrix:
-    """The 4x4 spin-resolved barrier scatterer at ``p.energy_ratio``."""
-    return _barrier_stack(p, p.energy_ratio)
-
-
-def _translated_stack(s1: ScatteringMatrix, separation: float, energies) -> ScatteringMatrix:
+def translated_barrier(s1: ScatteringMatrix, separation: float, energies) -> ScatteringMatrix:
     """Second barrier: the first one shifted by the separation w, which
     multiplies the reflection blocks by exp(+-i phi) with phi = 2 k w, at
     each energy of ``s1``'s stack."""
@@ -122,18 +120,12 @@ def _translated_stack(s1: ScatteringMatrix, separation: float, energies) -> Scat
     return ScatteringMatrix(matrix, s1.spec)
 
 
-def translated_barrier(s1: ScatteringMatrix, p: BarrierParams) -> ScatteringMatrix:
-    """:func:`barrier_smatrix` shifted by ``p.separation`` at ``p.energy_ratio``."""
-    return _translated_stack(s1, p.separation, p.energy_ratio)
-
-
 @lru_cache(maxsize=32)
 def loss_smatrix(eta: float) -> ScatteringMatrix:
     """Point-like spin- and energy-independent scatterer that deflects the
     particle off the line with probability eta (8x8, d=2).
 
-    Cached: the matrix is immutable and independent of energy, and sweeps
-    request it once per grid point.
+    Cached: the matrix is immutable and independent of energy.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidInputError(f"eta out of [0, 1]: {eta}")
@@ -150,21 +142,25 @@ def loss_smatrix(eta: float) -> ScatteringMatrix:
     return ScatteringMatrix(np.kron(pattern, np.eye(2)), PortSpec(2, 2, 2, 2, 2))
 
 
-def _single_graph(barrier: ScatteringMatrix, loss: ScatteringMatrix) -> QuantumGraph:
-    """Barrier followed by the loss scatterer; Alice on port 1, Bob on the
-    continuing-line output, port 4."""
-    return QuantumGraph.build(
+def barrier_graphs(base: BarrierParams, energies) -> dict:
+    """The barrier lines of ``base`` at each energy (one graph of matrices
+    for a scalar, of stacks for a 1-D grid), sharing one barrier stack.
+
+    ``single``: barrier followed by the loss scatterer, Bob on the
+    continuing-line output.  ``double``: barrier, loss scatterer and the
+    translated second barrier, Bob past the second barrier.  Alice is on
+    port 1 and Bob on port 4 of both.
+    """
+    barrier = barrier_smatrix(base, energies)
+    loss = loss_smatrix(base.eta).broadcast_to(np.shape(energies))
+    second = translated_barrier(barrier, base.separation, energies)
+    single = QuantumGraph.build(
         vertices=[(1, barrier), (2, loss)],
         internal_edges=[((1, 1), (2, 0)), ((2, 0), (1, 1))],
         dangling_in=[(1, 0), (2, 1), (2, 2), (2, 3)],
         dangling_out=[(1, 0), (2, 1), (2, 2), (2, 3)],
     )
-
-
-def _double_graph(barrier, loss, second) -> QuantumGraph:
-    """Barrier, loss scatterer, and the translated second barrier; Alice
-    on port 1, Bob past the second barrier on port 4."""
-    return QuantumGraph.build(
+    double = QuantumGraph.build(
         vertices=[(1, barrier), (2, loss), (3, second)],
         internal_edges=[
             ((1, 1), (2, 0)),
@@ -175,17 +171,7 @@ def _double_graph(barrier, loss, second) -> QuantumGraph:
         dangling_in=[(1, 0), (2, 1), (2, 2), (3, 1)],
         dangling_out=[(1, 0), (2, 1), (2, 2), (3, 1)],
     )
-
-
-def single_barrier_graph(p: BarrierParams) -> QuantumGraph:
-    """The single-barrier line at ``p.energy_ratio``."""
-    return _single_graph(barrier_smatrix(p), loss_smatrix(p.eta))
-
-
-def double_barrier_graph(p: BarrierParams) -> QuantumGraph:
-    """The double-barrier line at ``p.energy_ratio``."""
-    barrier = barrier_smatrix(p)
-    return _double_graph(barrier, loss_smatrix(p.eta), translated_barrier(barrier, p))
+    return {"single": single, "double": double}
 
 
 def pipeline_amplitudes(base: BarrierParams, energies) -> dict:
@@ -196,29 +182,25 @@ def pipeline_amplitudes(base: BarrierParams, energies) -> dict:
     Keys ``single`` and ``double``, each a stack of 2x2 operators (spin up
     first), one per energy; the whole operator is kept, so a spurious
     spin-mixing entry shows in a comparison with the diagonal closed form.
-    The barrier stack is built and checked once for both configurations,
-    and each graph is contracted once for the whole grid.
+    Both graphs come from one :func:`barrier_graphs` call, so the barrier
+    stack is built and checked once, and each graph is contracted once for
+    the whole grid.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1:
         raise InvalidInputError("energies must be a 1-D sequence")
-    barrier = _barrier_stack(base, energies)
-    loss = loss_smatrix(base.eta).broadcast_to(energies.shape)
-    second = _translated_stack(barrier, base.separation, energies)
-    graphs = (("single", _single_graph(barrier, loss)),
-              ("double", _double_graph(barrier, loss, second)))
     return {
         cfg: transmission_operator(contract(g), in_port=1, out_port=4)
-        for cfg, g in graphs
+        for cfg, g in barrier_graphs(base, energies).items()
     }
 
 
 def pipeline_m(p: BarrierParams, double: bool) -> np.ndarray:
     """Transmission operator through graph contraction at one energy; the
-    one-point call of :func:`pipeline_amplitudes`, mirroring
-    :func:`closed_form_m`."""
-    piped = pipeline_amplitudes(p, [p.energy_ratio])
-    return piped["double" if double else "single"][0]
+    one-point call of :func:`pipeline_amplitudes` for one configuration
+    (the other is not contracted), mirroring :func:`closed_form_m`."""
+    g = barrier_graphs(p, [p.energy_ratio])["double" if double else "single"]
+    return transmission_operator(contract(g), in_port=1, out_port=4)[0]
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,8 @@ class ScatteringMatrix:
     """A scattering matrix together with its port partition.
 
     Immutable after construction; the underlying array is write-locked.
-    ``verified`` is True only when unitarity within ``UNITARITY_TOL`` has
-    been measured (for a stack: of every row): by the checked constructor,
-    or by the output gate of ``composer.star``.  Consumers may then skip
-    measuring it again.
+    The checked constructor rejects a square matrix (for a stack: any row)
+    whose unitarity defect exceeds ``UNITARITY_TOL``.
     """
 
     def __init__(self, matrix, spec: PortSpec, check: bool = True):
@@ -121,7 +119,6 @@ class ScatteringMatrix:
         m.flags.writeable = False
         self.matrix = m
         self.spec = spec
-        self.verified = check
 
     def block(self, out_group: str, in_group: str) -> np.ndarray:
         """The rectangular sub-block mapping ``in_group`` to ``out_group``,
@@ -150,40 +147,28 @@ class ScatteringMatrix:
         return self.matrix[..., out_slot * d:(out_slot + 1) * d, in_slot * d:(in_slot + 1) * d]
 
     @classmethod
-    def _trusted(
-        cls, matrix: np.ndarray, spec: PortSpec, verified: bool = False
-    ) -> "ScatteringMatrix":
-        """Wrap an internally produced complex array without re-validation.
-
-        The result is unverified unless the caller has measured (or
-        preserved exactly) its unitarity and says so.
-        """
+    def _trusted(cls, matrix: np.ndarray, spec: PortSpec) -> "ScatteringMatrix":
+        """Wrap an internally produced complex array without re-validation."""
         obj = object.__new__(cls)
         matrix.flags.writeable = False
         obj.matrix = matrix
         obj.spec = spec
-        obj.verified = verified
         return obj
 
     def row(self, i) -> "ScatteringMatrix":
-        """Matrix ``i`` of a stack, with the stack's bit."""
-        return ScatteringMatrix._trusted(self.matrix[i], self.spec, self.verified)
+        """Matrix ``i`` of a stack."""
+        return ScatteringMatrix._trusted(self.matrix[i], self.spec)
 
     def broadcast_to(self, lead: tuple) -> "ScatteringMatrix":
         """This matrix repeated along leading axes of shape ``lead`` (a
-        read-only view).  The copies are exact, so the bit carries over."""
+        read-only view)."""
         shape = tuple(lead) + self.matrix.shape[-2:]
-        return ScatteringMatrix._trusted(
-            np.broadcast_to(self.matrix, shape), self.spec, self.verified
-        )
+        return ScatteringMatrix._trusted(np.broadcast_to(self.matrix, shape), self.spec)
 
     def reindexed(self, index, spec: PortSpec) -> "ScatteringMatrix":
         """Rows/columns picked by a precomputed slot-permutation index
-        (see :func:`slot_permutation_index`), under ``spec``.
-
-        A permutation preserves unitarity exactly, so the bit carries over.
-        """
-        return ScatteringMatrix._trusted(self.matrix[index], spec, self.verified)
+        (see :func:`slot_permutation_index`), under ``spec``."""
+        return ScatteringMatrix._trusted(self.matrix[index], spec)
 
     def permuted(self, in_slots, out_slots) -> "ScatteringMatrix":
         """Reorder slots; ``in_slots``/``out_slots`` are flat permutations."""

@@ -11,14 +11,13 @@ from scatchan.numerics import max_abs
 from scatchan.physics import (
     BarrierParams,
     barrier_coefficients,
+    barrier_graphs,
     barrier_smatrix,
     closed_form_m,
-    double_barrier_graph,
     energy_sweep,
     loss_smatrix,
     pipeline_amplitudes,
     pipeline_m,
-    single_barrier_graph,
     translated_barrier,
 )
 from scatchan.graph import contract, validate
@@ -105,29 +104,29 @@ class TestBarrierCoefficients:
 
 class TestBarrierSmatrix:
     def test_eps0_spin_blocks_equal(self):
-        s = barrier_smatrix(BarrierParams(0.4, epsilon=0.0, half_width=0.2))
+        s = barrier_smatrix(BarrierParams(0.4, epsilon=0.0, half_width=0.2), 0.4)
         assert s.matrix[0, 0] == s.matrix[1, 1]
         assert s.matrix[0, 2] == s.matrix[1, 3]
 
     def test_unitary(self):
         for et in (0.3, 0.9, 1.1, 2.5):
-            s = barrier_smatrix(BarrierParams(et, epsilon=0.1, half_width=0.2))
+            s = barrier_smatrix(BarrierParams(et, epsilon=0.1, half_width=0.2), et)
             assert unitarity_defect(s.matrix) < 1e-10
 
 
 class TestTranslatedBarrier:
     def test_zero_separation_is_identity(self):
         p = BarrierParams(0.5, half_width=0.2, separation=0.0)
-        s1 = barrier_smatrix(p)
-        s2 = translated_barrier(s1, p)
+        s1 = barrier_smatrix(p, 0.5)
+        s2 = translated_barrier(s1, p.separation, 0.5)
         assert max_abs(s2.matrix - s1.matrix) == 0.0
 
     def test_half_wave_flips_reflection_sign(self):
         et = 0.49
         w = (np.pi / 2) / np.sqrt(et)
         p = BarrierParams(et, half_width=0.2, separation=w)
-        s1 = barrier_smatrix(p)
-        s2 = translated_barrier(s1, p)
+        s1 = barrier_smatrix(p, et)
+        s2 = translated_barrier(s1, w, et)
         assert max_abs(s2.block("L", "L") + s1.block("L", "L")) < 1e-12
         assert max_abs(s2.block("R", "L") - s1.block("R", "L")) == 0.0
 
@@ -140,7 +139,9 @@ class TestTranslatedBarrier:
                 half_width=float(rng.uniform(0.05, 1.0)),
                 separation=float(rng.uniform(0, 50.0)),
             )
-            s2 = translated_barrier(barrier_smatrix(p), p)
+            s2 = translated_barrier(
+                barrier_smatrix(p, p.energy_ratio), p.separation, p.energy_ratio
+            )
             assert unitarity_defect(s2.matrix) < 1e-10
 
 
@@ -234,14 +235,36 @@ class TestPipelineAmplitudes:
 class TestPipelineGraphs:
     def test_graphs_validate(self):
         p = BarrierParams(0.5, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        assert validate(single_barrier_graph(p)) == []
-        assert validate(double_barrier_graph(p)) == []
+        graphs = barrier_graphs(p, 0.5)
+        assert validate(graphs["single"]) == []
+        assert validate(graphs["double"]) == []
 
     def test_contracted_global_matrix_unitary(self):
         p = BarrierParams(0.7, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        for g in (single_barrier_graph(p), double_barrier_graph(p)):
+        for g in barrier_graphs(p, 0.7).values():
             s_g = contract(g)
             assert unitarity_defect(s_g.matrix) < 1e-9
+
+    def test_graphs_share_one_barrier_stack(self):
+        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        graphs = barrier_graphs(base, np.linspace(0.1, 0.9, 7))
+        single, double = dict(graphs["single"].vertices), dict(graphs["double"].vertices)
+        assert single[1] is double[1]
+        assert single[1].matrix.shape == (7, 4, 4)
+
+    def test_pipeline_m_contracts_only_the_requested_graph(self, monkeypatch):
+        contracted = []
+        original = physics.contract
+
+        def counted(g, *args, **kwargs):
+            contracted.append(len(g.vertices))
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(physics, "contract", counted)
+        p = BarrierParams(0.47, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        pipeline_m(p, False)
+        pipeline_m(p, True)
+        assert contracted == [2, 3]
 
 
 class TestEnergySweep:

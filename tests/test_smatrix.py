@@ -91,31 +91,6 @@ class TestBlocks:
         p = s.permuted([1, 0, 2, 3], [0, 1, 3, 2])
         assert max_abs(p.slot_block(3, 0) - s.slot_block(2, 1)) == 0.0
 
-
-class TestVerifiedBit:
-    """Only a measured matrix carries the verified-unitary bit."""
-
-    def test_checked_constructor_sets_it(self):
-        assert ScatteringMatrix(SWAP, SPEC11).verified
-        assert ScatteringMatrix.from_json(ScatteringMatrix(SWAP, SPEC11).to_json()).verified
-
-    def test_unchecked_and_trusted_matrices_carry_none(self):
-        assert not ScatteringMatrix(SWAP, SPEC11, check=False).verified
-        assert not ScatteringMatrix._trusted(SWAP.copy(), SPEC11).verified
-        obj = ScatteringMatrix(SWAP, SPEC11).to_json()
-        assert not ScatteringMatrix.from_json(obj, check=False).verified
-        assert not t_to_s(TransferMatrix(np.eye(2, dtype=complex), 1)).verified
-
-    def test_slot_permutations_keep_the_source_bit(self):
-        rng = np.random.default_rng(3)
-        m = random_unitary(rng, 4)
-        spec = PortSpec(2, 2, 2, 2, 1)
-        for check in (True, False):
-            s = ScatteringMatrix(m, spec, check=check)
-            assert s.permuted([1, 0, 2, 3], [0, 1, 3, 2]).verified == check
-            index = slot_permutation_index([0, 1, 2, 3], [0, 1, 2, 3], 1)
-            assert s.reindexed(index, PortSpec(1, 1, 3, 3, 1)).verified == check
-
     def test_slot_permutation_index_matches_permuted(self):
         rng = np.random.default_rng(4)
         s = random_smatrix(rng, 2, 2)
