@@ -246,43 +246,66 @@ class TestDirectVersusPadded:
             self.assert_agree(s2, s1)
 
 
-class TestOutputGate:
-    """star measures its output once; its inputs are measured only when
-    that gate fails, and a non-unitary input then lets the call return."""
+def count_measurements(monkeypatch):
+    """Record the shape of every matrix ``composer.unitarity_defect`` measures."""
+    measured = []
+    original = composer.unitarity_defect
 
-    @staticmethod
-    def count_measurements(monkeypatch):
-        measured = []
-        original = composer.unitarity_defect
+    def counted(m):
+        measured.append(m.shape)
+        return original(m)
 
-        def counted(m):
-            measured.append(m.shape)
-            return original(m)
+    monkeypatch.setattr(composer, "unitarity_defect", counted)
+    return measured
 
-        monkeypatch.setattr(composer, "unitarity_defect", counted)
-        return measured
 
-    def test_one_measurement_whatever_the_inputs_origin(self, monkeypatch):
+class TestVerifiedInputs:
+    """Checked at construction or not, a unitary input is not measured by a
+    star whose output passes the gate; inputs are measured only when it fails."""
+
+    def test_verified_inputs_only_gate_the_output(self, monkeypatch):
         rng = np.random.default_rng(40)
+        s1, s2 = random_smatrix(rng, 2, 1), random_smatrix(rng, 2, 1)
+        measured = count_measurements(monkeypatch)
+        g = star(s2, s1)
+        assert measured == [g.matrix.shape]
+        monkeypatch.undo()
+        assert unitarity_defect(g.matrix) <= 1e-9
+
+    def test_unchecked_inputs_are_measured(self, monkeypatch):
+        rng = np.random.default_rng(41)
         spec = PortSpec(2, 2, 2, 2, 1)
         for build in (
-            lambda m: ScatteringMatrix(m, spec),
             lambda m: ScatteringMatrix(m, spec, check=False),
             lambda m: ScatteringMatrix._trusted(m, spec),
         ):
+            # Unitary unchecked inputs: the output gate passes on its own.
             s1, s2 = build(random_unitary(rng, 4)), build(random_unitary(rng, 4))
-            measured = self.count_measurements(monkeypatch)
+            measured = count_measurements(monkeypatch)
             g = star(s2, s1)
             assert measured == [g.matrix.shape]
             monkeypatch.undo()
             assert unitarity_defect(g.matrix) <= 1e-9
+            # A non-unitary unchecked input fails the output gate, and then
+            # both inputs are measured.
+            bad = build(0.5 * random_unitary(rng, 4))
+            measured = count_measurements(monkeypatch)
+            g = star(bad, s1)
+            assert measured == [(4, 4)] * 3
+            monkeypatch.undo()
+            assert unitarity_defect(g.matrix) > 1e-3
+
+
+class TestOutputGate:
+    """A non-unitary input lets the call return once the failed output gate
+    has measured it."""
 
     def test_nonunitary_input_is_measured_and_the_call_returns(self, monkeypatch):
         rng = np.random.default_rng(42)
         spec = PortSpec(1, 1, 1, 1, 2)
         bad = ScatteringMatrix(0.5 * random_unitary(rng, 4), spec, check=False)
         good = random_smatrix(rng, 1, 2)
-        measured = self.count_measurements(monkeypatch)
+        measured = count_measurements(monkeypatch)
         g = star(bad, good)
         # The output gate fails, then both inputs are measured.
         assert measured == [(4, 4)] * 3
