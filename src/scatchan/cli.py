@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from html import escape
 
 import numpy as np
 
@@ -51,9 +52,12 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
     """Polyline plot as an SVG 1.1 string.
 
     ``curves`` is a list of (label, y-array); ``shade_mask`` marks x-ranges
-    to highlight (contiguous True runs become shaded bands).
+    to highlight (contiguous True runs become shaded bands).  Each curve is
+    drawn through its pixel-column envelope: per run of samples in one pixel
+    column, the first, the last, and the first lowest and highest samples.
     """
     x = np.asarray(x, dtype=float)
+    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
     x_lo, x_hi = float(x[0]), float(x[-1])
     y_lo = min(float(np.min(y)) for _, y in curves)
     y_hi = max(float(np.max(y)) for _, y in curves)
@@ -70,6 +74,12 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
 
     def py(v):
         return _MT + (y_hi - v) / (y_hi - y_lo) * ph
+
+    xs = px(x)
+    col = np.clip(np.floor(xs - _ML), 0, pw - 1)
+    new_col = np.concatenate(([True], col[1:] != col[:-1]))
+    starts = np.flatnonzero(new_col)
+    run_of = np.cumsum(new_col) - 1
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -115,10 +125,14 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
 
     for i, (label, y) in enumerate(curves):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(
-            f"{px(xi):.2f},{py(min(max(float(yi), y_lo), y_hi)):.2f}"
-            for xi, yi in zip(x, y)
-        )
+        y = np.asarray(y, dtype=float)
+        keep = np.zeros(len(x), dtype=bool)
+        keep[starts] = keep[np.append(starts[1:], len(x)) - 1] = True
+        for extreme in (np.minimum, np.maximum):
+            hit = np.flatnonzero(y == extreme.reduceat(y, starts)[run_of])
+            keep[hit[np.unique(run_of[hit], return_index=True)[1]]] = True
+        ys = py(np.clip(y[keep], y_lo, y_hi))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs[keep].tolist(), ys.tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
         ly = _MT + 18 + 16 * i
@@ -126,7 +140,7 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
                      f'x2="{_ML + pw - 125}" y2="{ly - 4}" stroke="{color}" '
                      f'stroke-width="2"/>')
         parts.append(f'<text x="{_ML + pw - 120}" y="{ly}" '
-                     f'font-family="sans-serif" font-size="12">{label}</text>')
+                     f'font-family="sans-serif" font-size="12">{escape(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -147,27 +161,28 @@ def load_scenario(path: str) -> dict:
     kind = obj.get("kind")
     if kind not in ("barrier-sweep", "graph-contract", "star-demo"):
         raise InvalidInputError(f"unknown scenario kind: {kind!r}")
-    if "name" not in obj:
-        obj["name"] = os.path.splitext(os.path.basename(path))[0]
+    name = obj.setdefault("name", os.path.splitext(os.path.basename(path))[0])
+    if not isinstance(name, str) or name in ("", ".", "..") or name != os.path.basename(name):
+        raise InvalidInputError(f"scenario name must be a plain file name, got {name!r}")
     return obj
 
 
 def _sweep_inputs(sc: dict):
-    grid = sc.get("grid", {})
-    start = float(grid.get("start", 0.005))
-    stop = float(grid.get("stop", 2.0))
-    points = int(grid.get("points", 20000))
+    try:
+        grid = sc.get("grid", {})
+        start = float(grid.get("start", 0.005))
+        stop = float(grid.get("stop", 2.0))
+        points = int(grid.get("points", 20000))
+        shape = {key: float(sc[key]) for key in ("half_width", "separation")}
+        shape.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"non-numeric scenario field: {exc}") from exc
     if points < 2:
         raise InvalidInputError(f"grid needs at least 2 points, got {points}")
     if not (np.isfinite(stop) and 0 < start < stop):
         raise InvalidInputError(f"bad grid range ({start}, {stop})")
-    base = physics.BarrierParams(
-        energy_ratio=start,  # placeholder; the sweep substitutes per-point values
-        epsilon=float(sc.get("epsilon", 0.0)),
-        half_width=float(sc["half_width"]),
-        separation=float(sc["separation"]),
-        eta=float(sc.get("eta", 0.0)),
-    )
+    # energy_ratio is a placeholder; the sweep substitutes per-point values
+    base = physics.BarrierParams(energy_ratio=start, **shape)
     return base, np.linspace(start, stop, points)
 
 

@@ -1,11 +1,13 @@
+import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from scatchan import cli
+from scatchan import cli, physics
 from scatchan.smatrix import PortSpec, ScatteringMatrix
 
 from conftest import random_smatrix
@@ -165,5 +167,112 @@ def test_run_is_deterministic(tmp_path):
     path = small_sweep(tmp_path)
     cli.main(["--out", str(tmp_path / "r1"), "--threads", "1", "run", path])
     cli.main(["--out", str(tmp_path / "r2"), "--threads", "3", "run", path])
-    for name in ("fig2_eps0.csv", "fig2_eps0_transmission.svg"):
+    for name in ("fig2_eps0.csv", "fig2_eps0_transmission.svg", "fig2_eps0_capacity.svg"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+class TestScenarioBoundary:
+    @pytest.mark.parametrize("name", ["../../x", "sub/x", "", ".", "..", 5])
+    def test_name_outside_out_dir_exits_2(self, tmp_path, capsys, name):
+        path = small_sweep(tmp_path, name=name)
+        out = tmp_path / "a" / "b" / "out"
+        assert cli.main(["--out", str(out), "run", path]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["sweep.json"]
+
+    def test_markup_in_name_is_escaped(self, tmp_path):
+        name = "a&b<c"
+        assert cli.main(["--out", str(tmp_path), "run", small_sweep(tmp_path, name=name)]) == 0
+        for suffix, title in (("transmission", "Transmission probabilities"),
+                              ("capacity", "Capacity bounds")):
+            root = ET.parse(tmp_path / f"{name}_{suffix}.svg").getroot()
+            texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert f"{title} ({name})" in texts
+
+
+# sha256 of the 300-point small_sweep SVGs as written before the polylines were
+# thinned: at most one sample per pixel column, so thinning must keep every byte.
+SMALL_SWEEP_SVG_SHA256 = {
+    "fig2_eps0_transmission.svg":
+        "31e3264555b63e765816efce0718b287bbd9cd271afd158b3821ad34f2cb72ca",
+    "fig2_eps0_capacity.svg":
+        "d0e0057fa8f19e5d71bed70fc1ccfd3270b835004d45f18f3aa8df507dafc1fe",
+}
+
+
+class TestSvgEnvelope:
+    def test_sparse_grid_bytes_unchanged(self, tmp_path):
+        assert cli.main(["--out", str(tmp_path), "run", small_sweep(tmp_path)]) == 0
+        for name, digest in SMALL_SWEEP_SVG_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_each_column_keeps_first_last_lowest_highest(self):
+        # Values rounded to one digit tie often, so the first-index rule shows.
+        n = 8000
+        x = np.linspace(0.0, 1.0, n)
+        y = np.round(np.random.default_rng(4).random(n), 1)
+        svg = cli.svg_line_plot(x, [("y", y)], "t", "x", "y")
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+
+        pw = cli._SVG_W - cli._ML - cli._MR
+        xs = cli._ML + (x - x[0]) / (x[-1] - x[0]) * pw
+        col = np.clip(np.floor(xs - cli._ML), 0, pw - 1)
+        kept = set()
+        for c in np.unique(col):
+            idx = np.flatnonzero(col == c)
+            kept |= {idx[0], idx[-1], idx[np.argmin(y[idx])], idx[np.argmax(y[idx])]}
+        assert [p.split(",")[0] for p in points.split()] == [
+            f"{xs[i]:.2f}" for i in sorted(kept)]
+
+    @pytest.mark.parametrize("columns", [
+        ("p_up_double", "p_dn_double", "p_up_single", "p_dn_single"),
+        ("q_low_double", "q_up_double", "q_low_single", "q_up_single"),
+    ])
+    def test_dense_grid_keeps_column_extents(self, columns):
+        sc = json.loads((SCENARIOS / "fig2_eps0.json").read_text())
+        base, grid = cli._sweep_inputs(sc)
+        table = physics.energy_sweep(base, grid, cross_check_every=0)
+        curves = [(c, getattr(table, c)) for c in columns]
+        svg = cli.svg_line_plot(table.energy, curves, "t", "x", "y",
+                                shade_mask=table.superactivated)
+
+        # Reference pixel coordinates of every sample, as the writer maps them.
+        pw = cli._SVG_W - cli._ML - cli._MR
+        ph = cli._SVG_H - cli._MT - cli._MB
+        x = table.energy
+        y_lo = min(float(np.min(y)) for _, y in curves)
+        y_hi = max(float(np.max(y)) for _, y in curves)
+        pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+        xs = cli._ML + (x - x[0]) / (x[-1] - x[0]) * pw
+        col = np.clip(np.floor(xs - cli._ML), 0, pw - 1).astype(int)
+        col_of = {f"{v:.2f}": c for v, c in zip(xs, col)}
+        assert len(col_of) == len(x)
+
+        polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(polylines) == len(curves)
+        for (_, y), points in zip(curves, polylines):
+            ys = np.array([float(f"{v:.2f}")
+                           for v in cli._MT + (y_hi - y) / (y_hi - y_lo) * ph])
+            pairs = [p.split(",") for p in points.split()]
+            got_col = np.array([col_of[a] for a, _ in pairs])
+            got_y = np.array([float(b) for _, b in pairs])
+            assert np.all(np.diff([float(a) for a, _ in pairs]) > 0)
+            assert np.bincount(got_col).max() <= 4
+            for c in range(pw):
+                full = ys[col == c]
+                mine = got_y[got_col == c]
+                assert mine.size and (mine.min(), mine.max()) == (full.min(), full.max())
+
+        # Shaded bands come from the full mask, one <rect> per True run.
+        mask = table.superactivated
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+        expected = []
+        for a, b in zip(edges[::2], edges[1::2]):
+            x0, x1 = xs[a], xs[min(b, len(x) - 1)]
+            expected.append(
+                f'<rect x="{x0:.2f}" y="{cli._MT}" width="{max(x1 - x0, 0.5):.2f}" '
+                f'height="{ph}" fill="#f5c6c6" fill-opacity="0.6"/>'
+            )
+        assert expected
+        assert [ln for ln in svg.splitlines() if 'fill="#f5c6c6"' in ln] == expected

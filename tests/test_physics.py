@@ -346,6 +346,9 @@ class TestLoudFailures:
         ("half_width", float("inf")),
         ("separation", float("nan")),
         ("grid", {"start": 0.1, "stop": float("inf"), "points": 5}),
+        ("half_width", "abc"),
+        ("grid", {"points": "many"}),
+        ("grid", [0.1, 0.9, 5]),
     ])
     def test_nonfinite_scenario_exits_2(self, tmp_path, capsys, field, value):
         scenario = {
