@@ -79,6 +79,7 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
     col = np.clip(np.floor(xs - _ML), 0, pw - 1)
     new_col = np.concatenate(([True], col[1:] != col[:-1]))
     starts = np.flatnonzero(new_col)
+    ends = np.append(starts[1:], len(x)) - 1
     run_of = np.cumsum(new_col) - 1
 
     parts = [
@@ -127,7 +128,7 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
         color = _COLORS[i % len(_COLORS)]
         y = np.asarray(y, dtype=float)
         keep = np.zeros(len(x), dtype=bool)
-        keep[starts] = keep[np.append(starts[1:], len(x)) - 1] = True
+        keep[starts] = keep[ends] = True
         for extreme in (np.minimum, np.maximum):
             hit = np.flatnonzero(y == extreme.reduceat(y, starts)[run_of])
             keep[hit[np.unique(run_of[hit], return_index=True)[1]]] = True
