@@ -174,8 +174,8 @@ def _sweep_inputs(sc: dict):
         start = float(grid.get("start", 0.005))
         stop = float(grid.get("stop", 2.0))
         points = int(grid.get("points", 20000))
-        shape = {key: float(sc[key]) for key in ("half_width", "separation")}
-        shape.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
+        params = {key: float(sc[key]) for key in ("half_width", "separation")}
+        params.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
     except (AttributeError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"non-numeric scenario field: {exc}") from exc
     if points < 2:
@@ -183,7 +183,7 @@ def _sweep_inputs(sc: dict):
     if not (np.isfinite(stop) and 0 < start < stop):
         raise InvalidInputError(f"bad grid range ({start}, {stop})")
     # energy_ratio is a placeholder; the sweep substitutes per-point values
-    base = physics.BarrierParams(energy_ratio=start, **shape)
+    base = physics.BarrierParams(energy_ratio=start, **params)
     return base, np.linspace(start, stop, points)
 
 
