@@ -1,12 +1,12 @@
 """Wall-time bench of scatchan, end to end and per layer.
 
-    python bench/bench.py --out BENCH_N.json [--repeats K] [LABEL=SRC_DIR ...]
+    python bench/bench.py --out BENCH_N.json [LABEL=SRC_DIR ...]
 
 Each ``LABEL=SRC_DIR`` names a source tree (the directory that holds the
 ``scatchan`` package); the default is ``change=src`` of this checkout.  Trees
 are measured in one session, alternating their order from round to round, so
 that a parent and a change can be compared on the same machine state.  Every
-row is the best of K ``time.perf_counter`` repeats:
+row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
 
 * ``run_s``, ``verify_s``: ``python -m scatchan.cli --threads 1 run`` and
   ``... verify`` of the tree's ``fig2_eps0.json``, as child processes;
@@ -38,20 +38,21 @@ from pathlib import Path
 import numpy as np
 
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
+REPEATS = 7
 ROWS = ("run_s", "verify_s", "import_s", "energy_sweep_s", "to_csv_s", "svg_line_plot_s")
 
 
-def best_of(repeats: int, fn) -> float:
-    """Smallest wall time of ``repeats`` calls of ``fn``."""
+def best_of(fn) -> float:
+    """Smallest wall time of ``REPEATS`` calls of ``fn``."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
 
 
-def layer_times(repeats: int) -> dict:
+def layer_times() -> dict:
     """In-process rows; runs in a child whose ``sys.path`` holds one tree."""
     from scatchan import cli, physics
 
@@ -61,9 +62,9 @@ def layer_times(repeats: int) -> dict:
     curves = [(c, getattr(table, c))
               for c in ("p_up_double", "p_dn_double", "p_up_single", "p_dn_single")]
     return {
-        "energy_sweep_s": best_of(repeats, lambda: physics.energy_sweep(base, grid)),
-        "to_csv_s": best_of(repeats, table.to_csv),
-        "svg_line_plot_s": best_of(repeats, lambda: cli.svg_line_plot(
+        "energy_sweep_s": best_of(lambda: physics.energy_sweep(base, grid)),
+        "to_csv_s": best_of(table.to_csv),
+        "svg_line_plot_s": best_of(lambda: cli.svg_line_plot(
             table.energy, curves, "Transmission probabilities", "E / V0",
             "transmission probability", shade_mask=table.superactivated)),
     }
@@ -87,12 +88,12 @@ def _artifacts(out_dir: Path) -> dict:
             for p in sorted(out_dir.iterdir())}
 
 
-def measure(trees: dict, repeats: int) -> dict:
+def measure(trees: dict) -> dict:
     results = {label: {"commit": _commit(src)} for label, src in trees.items()}
     samples = {label: {row: [] for row in ("run_s", "verify_s", "import_s")}
                for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
-        for r in range(repeats):
+        for r in range(REPEATS):
             order = list(trees.items())
             for label, src in order[::-1] if r % 2 else order:
                 out = Path(tmp) / label
@@ -111,8 +112,8 @@ def measure(trees: dict, repeats: int) -> dict:
     for label, src in trees.items():
         results[label].update({row: min(v) for row, v in samples[label].items()})
         code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
-                "print(json.dumps(bench.layer_times(int(sys.argv[2]))))")
-        done = _child(src, "-c", code, str(Path(__file__).parent), str(repeats))
+                "print(json.dumps(bench.layer_times()))")
+        done = _child(src, "-c", code, str(Path(__file__).parent))
         results[label].update(json.loads(done.stdout))
     return results
 
@@ -120,7 +121,6 @@ def measure(trees: dict, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=5, help="best of K (default 5)")
     parser.add_argument("trees", nargs="*", metavar="LABEL=SRC_DIR",
                         help="source trees to measure (default: change=src)")
     args = parser.parse_args(argv)
@@ -131,14 +131,12 @@ def main(argv=None) -> int:
         if not sep or not (Path(src) / "scatchan").is_dir():
             parser.error(f"expected LABEL=SRC_DIR holding a scatchan package, got {spec!r}")
         trees[label] = Path(src).resolve()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
-    trees_out = measure(trees, args.repeats)
+    trees_out = measure(trees)
     record = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "scenario": SCENARIO.name,
         "trees": trees_out,
     }

@@ -163,7 +163,8 @@ def load_scenario(path: str) -> dict:
     if kind not in ("barrier-sweep", "graph-contract", "star-demo"):
         raise InvalidInputError(f"unknown scenario kind: {kind!r}")
     name = obj.setdefault("name", os.path.splitext(os.path.basename(path))[0])
-    if not isinstance(name, str) or name in ("", ".", "..") or name != os.path.basename(name):
+    if (not isinstance(name, str) or name in ("", ".", "..") or "\x00" in name
+            or name != os.path.basename(name)):
         raise InvalidInputError(f"scenario name must be a plain file name, got {name!r}")
     return obj
 
@@ -176,7 +177,7 @@ def _sweep_inputs(sc: dict):
         points = int(grid.get("points", 20000))
         params = {key: float(sc[key]) for key in ("half_width", "separation")}
         params.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"non-numeric scenario field: {exc}") from exc
     if points < 2:
         raise InvalidInputError(f"grid needs at least 2 points, got {points}")

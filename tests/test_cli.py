@@ -172,7 +172,7 @@ def test_run_is_deterministic(tmp_path):
 
 
 class TestScenarioBoundary:
-    @pytest.mark.parametrize("name", ["../../x", "sub/x", "", ".", "..", 5])
+    @pytest.mark.parametrize("name", ["../../x", "sub/x", "", ".", "..", 5, "a\x00b"])
     def test_name_outside_out_dir_exits_2(self, tmp_path, capsys, name):
         path = small_sweep(tmp_path, name=name)
         out = tmp_path / "a" / "b" / "out"

@@ -349,6 +349,7 @@ class TestLoudFailures:
         ("half_width", "abc"),
         ("grid", {"points": "many"}),
         ("grid", [0.1, 0.9, 5]),
+        ("grid", {"start": 0.1, "stop": 0.9, "points": float("inf")}),
     ])
     def test_nonfinite_scenario_exits_2(self, tmp_path, capsys, field, value):
         scenario = {
