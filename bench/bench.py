@@ -10,6 +10,9 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
 
 * ``run_s``, ``verify_s``: ``python -m scatchan.cli --threads 1 run`` and
   ``... verify`` of the tree's ``fig2_eps0.json``, as child processes;
+* ``run_peak_rss_mb``: the peak resident set of that ``run`` child, read as
+  ``ru_maxrss`` of its children by a wrapper process that starts it (the
+  smallest of the repeats);
 * ``import_s``: ``python -c "import scatchan"`` as a child process;
 * ``energy_sweep_s``: ``physics.energy_sweep`` on the scenario's 20k grid at
   the default cross-check stride, in a warm process;
@@ -39,7 +42,12 @@ import numpy as np
 
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
 REPEATS = 7
-ROWS = ("run_s", "verify_s", "import_s", "energy_sweep_s", "to_csv_s", "svg_line_plot_s")
+ROWS = ("run_s", "verify_s", "import_s", "run_peak_rss_mb", "energy_sweep_s", "to_csv_s",
+        "svg_line_plot_s")
+# Runs argv[1:] as its one child and prints that child's ru_maxrss (KiB on Linux).
+RSS_WRAPPER = ("import resource, subprocess, sys; "
+               "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
 
 def best_of(fn) -> float:
@@ -57,7 +65,7 @@ def layer_times() -> dict:
     from scatchan import cli, physics
 
     scenario = Path(physics.__file__).parent / "scenarios" / "fig2_eps0.json"
-    base, grid = cli._sweep_inputs(cli.load_scenario(str(scenario)))
+    base, grid = cli._sweep_inputs(cli.load_scenario(str(scenario)))[:2]
     table = physics.energy_sweep(base, grid)
     curves = [(c, getattr(table, c))
               for c in ("p_up_double", "p_dn_double", "p_up_single", "p_dn_single")]
@@ -90,7 +98,7 @@ def _artifacts(out_dir: Path) -> dict:
 
 def measure(trees: dict) -> dict:
     results = {label: {"commit": _commit(src)} for label, src in trees.items()}
-    samples = {label: {row: [] for row in ("run_s", "verify_s", "import_s")}
+    samples = {label: {row: [] for row in ("run_s", "verify_s", "import_s", "run_peak_rss_mb")}
                for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(REPEATS):
@@ -107,6 +115,9 @@ def measure(trees: dict) -> dict:
                     start = time.perf_counter()
                     _child(src, *args)
                     samples[label][row].append(time.perf_counter() - start)
+                wrapped = _child(src, "-c", RSS_WRAPPER, sys.executable, "-m", "scatchan.cli",
+                                 "--threads", "1", "--out", str(out), "run", scenario)
+                samples[label]["run_peak_rss_mb"].append(int(wrapped.stdout) / 1024)
         for label in trees:
             results[label]["artifacts"] = _artifacts(Path(tmp) / label)
     for label, src in trees.items():

@@ -159,6 +159,8 @@ def load_scenario(path: str) -> dict:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"scenario is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"scenario must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind not in ("barrier-sweep", "graph-contract", "star-demo"):
         raise InvalidInputError(f"unknown scenario kind: {kind!r}")
@@ -169,23 +171,31 @@ def load_scenario(path: str) -> dict:
     return obj
 
 
+def _count(value, name: str, least: int) -> int:
+    """A whole-number field (not a bool) of at least ``least``."""
+    n = float(value)
+    if isinstance(value, bool) or not n.is_integer() or n < least:
+        raise InvalidInputError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(n)
+
+
 def _sweep_inputs(sc: dict):
+    """The arguments (base, grid, cross_check_every) of :func:`physics.energy_sweep`."""
     try:
         grid = sc.get("grid", {})
         start = float(grid.get("start", 0.005))
         stop = float(grid.get("stop", 2.0))
-        points = int(grid.get("points", 20000))
+        points = _count(grid.get("points", 20000), "grid points", 2)
+        every = _count(sc.get("cross_check_every", 100), "cross_check_every", 0)
         params = {key: float(sc[key]) for key in ("half_width", "separation")}
         params.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"non-numeric scenario field: {exc}") from exc
-    if points < 2:
-        raise InvalidInputError(f"grid needs at least 2 points, got {points}")
     if not (np.isfinite(stop) and 0 < start < stop):
         raise InvalidInputError(f"bad grid range ({start}, {stop})")
     # energy_ratio is a placeholder; the sweep substitutes per-point values
     base = physics.BarrierParams(energy_ratio=start, **params)
-    return base, np.linspace(start, stop, points)
+    return base, np.linspace(start, stop, points), every
 
 
 def _write(out_dir: str, filename: str, text: str) -> str:
@@ -202,10 +212,7 @@ def _json_text(obj) -> str:
 
 
 def run_barrier_sweep(sc: dict, out_dir: str) -> list[str]:
-    base, grid = _sweep_inputs(sc)
-    table = physics.energy_sweep(
-        base, grid, cross_check_every=int(sc.get("cross_check_every", 100))
-    )
+    table = physics.energy_sweep(*_sweep_inputs(sc))
     name = sc["name"]
     emitted = [_write(out_dir, f"{name}.csv", table.to_csv())]
     plots = (
@@ -252,7 +259,7 @@ def run_star_demo(sc: dict, out_dir: str) -> list[str]:
 
 def verify_barrier_sweep(sc: dict, out) -> float:
     """Closed-form vs pipeline, series vs star, unitarity, CPTP."""
-    base, grid = _sweep_inputs(sc)
+    base, grid, _ = _sweep_inputs(sc)
     sample = grid[:: max(1, len(grid) // 64)]
     closed = physics.closed_form_amplitudes(base, sample)
     piped = physics.pipeline_amplitudes(base, sample)

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .capacity import CapacityBounds, detect_superactivation
 from .channel import transmission_operator
 from .errors import InternalConsistencyError, InvalidInputError
 from .graph import QuantumGraph, contract
@@ -310,15 +311,11 @@ def energy_sweep(
     p_dn_s = np.abs(amp["single_dn"]) ** 2
     p_up_d = np.abs(amp["double_up"]) ** 2
     p_dn_d = np.abs(amp["double_dn"]) ** 2
-
-    def q_of(p):
-        return np.maximum(0.0, 2.0 * np.clip(p, 0.0, 1.0) - 1.0)  # log2(d)=1 for d=2
-
-    q_low_s = q_of(np.minimum(p_up_s, p_dn_s))
-    q_up_s = q_of(np.maximum(p_up_s, p_dn_s))
-    q_low_d = q_of(np.minimum(p_up_d, p_dn_d))
-    q_up_d = q_of(np.maximum(p_up_d, p_dn_d))
-    sa = (q_low_d > 0.0) & (q_up_s <= 0.0)
+    # Diagonal operators: |m_up|^2 and |m_dn|^2 are the singular probabilities.
+    single, double = (
+        CapacityBounds(np.stack((np.minimum(up, dn), np.maximum(up, dn)), axis=-1), 2)
+        for up, dn in ((p_up_s, p_dn_s), (p_up_d, p_dn_d))
+    )
 
     if cross_check_every > 0:
         pick = slice(None, None, cross_check_every)
@@ -338,5 +335,6 @@ def energy_sweep(
 
     return SweepTable(
         energies, p_up_s, p_dn_s, p_up_d, p_dn_d,
-        q_low_s, q_up_s, q_low_d, q_up_d, sa,
+        single.q_low, single.q_up, double.q_low, double.q_up,
+        detect_superactivation(double, single),
     )

@@ -73,7 +73,7 @@ class TestCapacityBounds:
 
     def test_ordering_invariant_enforced(self):
         with pytest.raises(InvalidInputError):
-            CapacityBounds((0.9, 0.2), 2, 0.0, 0.8)
+            CapacityBounds((0.9, 0.2), 2)
 
     def test_random_bounds_ordered(self):
         rng = np.random.default_rng(1)
@@ -116,22 +116,50 @@ class TestDataProcessing:
 
 class TestSuperactivation:
     def test_certified(self):
-        res = CapacityBounds((0.66,), 2, 0.3, 0.3)
-        direct = CapacityBounds((0.4,), 2, 0.0, 0.0)
+        res = CapacityBounds((0.66,), 2)
+        direct = CapacityBounds((0.4,), 2)
         assert detect_superactivation(res, direct)
 
     def test_not_certified_when_resonant_zero(self):
-        res = CapacityBounds((0.5,), 2, 0.0, 0.0)
-        direct = CapacityBounds((0.4,), 2, 0.0, 0.0)
+        res = CapacityBounds((0.5,), 2)
+        direct = CapacityBounds((0.4,), 2)
         assert not detect_superactivation(res, direct)
 
     def test_not_certified_when_direct_possibly_positive(self):
-        res = CapacityBounds((0.66,), 2, 0.3, 0.3)
-        direct = CapacityBounds((0.3, 0.56), 2, 0.0, 0.1)
+        res = CapacityBounds((0.66,), 2)
+        direct = CapacityBounds((0.3, 0.56), 2)
         assert not detect_superactivation(res, direct)
 
     def test_dimension_mismatch(self):
-        res = CapacityBounds((0.66,), 2, 0.3, 0.3)
-        direct = CapacityBounds((0.4,), 4, 0.0, 0.0)
+        res = CapacityBounds((0.66,), 2)
+        direct = CapacityBounds((0.4,), 4)
         with pytest.raises(InvalidInputError):
             detect_superactivation(res, direct)
+
+
+class TestStacks:
+    def test_stack_equals_row_by_row(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 4):
+            ms = np.stack([random_contraction(rng, d) for _ in range(50)])
+            b = capacity_bounds(ms, d)
+            rows = [capacity_bounds(m, d) for m in ms]
+            assert b.p.shape == (50, d)
+            assert np.array_equal(b.p, [r.p for r in rows])
+            assert np.array_equal(b.q_low, [r.q_low for r in rows])
+            assert np.array_equal(b.q_up, [r.q_up for r in rows])
+
+    def test_superactivation_elementwise(self):
+        res = CapacityBounds([[0.66], [0.5], [0.66]], 2)
+        direct = CapacityBounds([[0.4], [0.4], [0.56]], 2)
+        assert detect_superactivation(res, direct).tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("call", [
+        lambda: erasure_capacity(np.array([0.7, np.nan]), 2),
+        lambda: CapacityBounds(np.array([[0.3], [np.nan]]), 2),
+        lambda: CapacityBounds(np.array([[0.2, np.nan]]), 2),
+        lambda: capacity_bounds(np.array([np.eye(2), [[0.5, 0.0], [0.0, np.nan]]]), 2),
+    ])
+    def test_nan_rejected(self, call):
+        with pytest.raises(InvalidInputError):
+            call()

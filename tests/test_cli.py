@@ -76,6 +76,15 @@ class TestRun:
         path.write_text(json.dumps({"kind": "mystery"}))
         assert cli.main(["--out", str(tmp_path), "run", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", ["[1]", "5", "null", '"barrier-sweep"'])
+    def test_non_object_scenario_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -163,6 +172,17 @@ class TestStarCommand:
         assert result["spec"]["dim"] == 1
 
 
+def test_fig2_csv_golden(tmp_path):
+    # The paper's figure at 20k points: its bytes and its superactivation rows.
+    assert cli.main(["--out", str(tmp_path), "--threads", "1", "run",
+                     scenario_path("fig2_eps0.json")]) == 0
+    data = (tmp_path / "fig2_eps0.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "653497b8d677691a083590278cafd0aad548a94fc7eff767b5d847d588400b86")
+    flags = [line.rsplit(b",", 1)[1] for line in data.splitlines()[1:]]
+    assert len(flags) == 20000 and flags.count(b"1") == 80
+
+
 def test_run_is_deterministic(tmp_path):
     path = small_sweep(tmp_path)
     cli.main(["--out", str(tmp_path / "r1"), "--threads", "1", "run", path])
@@ -230,7 +250,7 @@ class TestSvgEnvelope:
     ])
     def test_dense_grid_keeps_column_extents(self, columns):
         sc = json.loads((SCENARIOS / "fig2_eps0.json").read_text())
-        base, grid = cli._sweep_inputs(sc)
+        base, grid, _ = cli._sweep_inputs(sc)
         table = physics.energy_sweep(base, grid, cross_check_every=0)
         curves = [(c, getattr(table, c)) for c in columns]
         svg = cli.svg_line_plot(table.energy, curves, "t", "x", "y",

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from scatchan import cli, physics
+from scatchan.capacity import capacity_bounds, detect_superactivation
 from scatchan.errors import InternalConsistencyError, InvalidInputError
 from scatchan.numerics import max_abs
 from scatchan.physics import (
+    PIPELINE_MATCH_TOL,
     BarrierParams,
     barrier_coefficients,
     barrier_graphs,
@@ -312,6 +314,32 @@ class TestEnergySweep:
             flags.append(cells[9])
         assert flags.count("1") == 34 and flags.count("0") == 366
 
+    @pytest.mark.parametrize("name, flagged", [("fig2_eps0.json", 80), ("fig2_eps01.json", 62)])
+    def test_capacity_columns_match_pipeline_svd(self, name, flagged):
+        # The sweep's gate bounds each entry of pipeline - closed form by
+        # eps = PIPELINE_MATCH_TOL.  By Weyl's inequality each singular value
+        # of a 2x2 operator then moves by <= 2 eps, each singular probability
+        # by <= 4 eps and each capacity bound, (2p - 1) log2 2, by <= 8 eps.
+        sc = json.loads((files("scatchan") / "scenarios" / name).read_text())
+        base, grid, every = cli._sweep_inputs(sc)
+        table = energy_sweep(base, grid, cross_check_every=every)
+        chunks = [pipeline_amplitudes(base, e) for e in np.array_split(grid, 10)]
+        single, double = (capacity_bounds(np.concatenate([c[cfg] for c in chunks]), 2)
+                          for cfg in ("single", "double"))
+        tol = 8 * PIPELINE_MATCH_TOL
+        assert max_abs(single.q_low - table.q_low_single) <= tol
+        assert max_abs(single.q_up - table.q_up_single) <= tol
+        assert max_abs(double.q_low - table.q_low_double) <= tol
+        assert max_abs(double.q_up - table.q_up_double) <= tol
+        # The flag jumps at 2p = 1; compare it where both probabilities it
+        # reads are further than the bound gap from 1/2.
+        p_low_double = np.minimum(table.p_up_double, table.p_dn_double)
+        p_up_single = np.maximum(table.p_up_single, table.p_dn_single)
+        clear = (np.abs(2 * p_low_double - 1) > tol) & (np.abs(2 * p_up_single - 1) > tol)
+        flags = detect_superactivation(double, single)
+        assert np.array_equal(flags[clear], table.superactivated[clear])
+        assert np.count_nonzero(table.superactivated) == flagged
+
     def test_sa_flag_matches_bound_logic(self):
         base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
         table = energy_sweep(base, self.GRID, cross_check_every=0)
@@ -350,6 +378,10 @@ class TestLoudFailures:
         ("grid", {"points": "many"}),
         ("grid", [0.1, 0.9, 5]),
         ("grid", {"start": 0.1, "stop": 0.9, "points": float("inf")}),
+        ("grid", {"start": 0.1, "stop": 0.9, "points": 2.7}),
+        ("grid", {"start": 0.1, "stop": 0.9, "points": True}),
+        ("cross_check_every", "abc"),
+        ("cross_check_every", -1),
     ])
     def test_nonfinite_scenario_exits_2(self, tmp_path, capsys, field, value):
         scenario = {
