@@ -16,6 +16,8 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
 * ``import_s``: ``python -c "import scatchan"`` as a child process;
 * ``energy_sweep_s``: ``physics.energy_sweep`` on the scenario's 20k grid at
   the default cross-check stride, in a warm process;
+* ``crosscheck_full_s``: the same sweep with ``cross_check_every=1``, every
+  grid point recomputed through the graph pipeline;
 * ``to_csv_s``: ``SweepTable.to_csv`` of that sweep;
 * ``svg_line_plot_s``: one ``cli.svg_line_plot`` of its four transmission
   curves with the superactivation bands.
@@ -42,8 +44,8 @@ import numpy as np
 
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
 REPEATS = 7
-ROWS = ("run_s", "verify_s", "import_s", "run_peak_rss_mb", "energy_sweep_s", "to_csv_s",
-        "svg_line_plot_s")
+ROWS = ("run_s", "verify_s", "import_s", "run_peak_rss_mb", "energy_sweep_s",
+        "crosscheck_full_s", "to_csv_s", "svg_line_plot_s")
 # Runs argv[1:] as its one child and prints that child's ru_maxrss (KiB on Linux).
 RSS_WRAPPER = ("import resource, subprocess, sys; "
                "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
@@ -71,6 +73,8 @@ def layer_times() -> dict:
               for c in ("p_up_double", "p_dn_double", "p_up_single", "p_dn_single")]
     return {
         "energy_sweep_s": best_of(lambda: physics.energy_sweep(base, grid)),
+        "crosscheck_full_s": best_of(
+            lambda: physics.energy_sweep(base, grid, cross_check_every=1)),
         "to_csv_s": best_of(table.to_csv),
         "svg_line_plot_s": best_of(lambda: cli.svg_line_plot(
             table.energy, curves, "Transmission probabilities", "E / V0",

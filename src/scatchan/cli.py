@@ -28,6 +28,7 @@ from .numerics import max_abs, operator_norm
 from .smatrix import ScatteringMatrix, unitarity_defect
 
 VERIFY_TOL = 1e-9
+MAX_GRID_POINTS = 10**6
 
 # ---------------------------------------------------------------------------
 # SVG emission (hand-rolled: deterministic bytes, no plotting dependency)
@@ -171,11 +172,12 @@ def load_scenario(path: str) -> dict:
     return obj
 
 
-def _count(value, name: str, least: int) -> int:
-    """A whole-number field (not a bool) of at least ``least``."""
+def _count(value, name: str, least: int, most: float = float("inf")) -> int:
+    """A whole-number field (not a bool) in [``least``, ``most``]."""
     n = float(value)
-    if isinstance(value, bool) or not n.is_integer() or n < least:
-        raise InvalidInputError(f"{name} must be a whole number >= {least}, got {value!r}")
+    if isinstance(value, bool) or not n.is_integer() or not least <= n <= most:
+        raise InvalidInputError(
+            f"{name} must be a whole number in [{least}, {most}], got {value!r}")
     return int(n)
 
 
@@ -185,7 +187,7 @@ def _sweep_inputs(sc: dict):
         grid = sc.get("grid", {})
         start = float(grid.get("start", 0.005))
         stop = float(grid.get("stop", 2.0))
-        points = _count(grid.get("points", 20000), "grid points", 2)
+        points = _count(grid.get("points", 20000), "grid points", 2, MAX_GRID_POINTS)
         every = _count(sc.get("cross_check_every", 100), "cross_check_every", 0)
         params = {key: float(sc[key]) for key in ("half_width", "separation")}
         params.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))

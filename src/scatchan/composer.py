@@ -5,8 +5,10 @@ the left side of ``s2``; right-out slots of s1 feed left-in slots of s2 and
 left-out slots of s2 feed right-in slots of s1.  Every pair, dishomogeneous
 (unequal slot counts per group) or not, is composed directly: the outer
 blocks may be rectangular, the loop matrix is always square.  The loop
-inverse is always taken as the Moore-Penrose pseudo-inverse, so perfectly
-resonant (singular loop) configurations stay well defined; the
+inverse is the Moore-Penrose pseudo-inverse, so perfectly resonant
+(singular loop) configurations stay well defined: one batched LU inverse
+serves every loop it certifies as regular, where it equals the
+pseudo-inverse, and the SVD pseudo-inverse serves the rest.  The
 Kostrykin-Schrader decoupling check runs only when the physical loop is
 singular.  The paper's padding with fictitious identity-routed edges, each
 of which pins a loop eigenvalue at exactly 1, is kept as an oracle
@@ -14,10 +16,11 @@ of which pins a loop eigenvalue at exactly 1, is kept as an oracle
 
 Every function here takes one scattering matrix or two stacks of equal
 leading shape (one matrix per energy of a sweep, say) through the same code:
-blocks are sliced on the last two axes, the loop matrices of a stack are
-decomposed in one batched SVD, and the kernel check runs only on the rows
-whose loop is singular.  A gate on a stack measures its worst row, so one
-bad row fails the whole stack.
+blocks are sliced on the last two axes, one batched interface product gives
+both the loop matrices and the assembly's cross terms, only the rows the LU
+inverse cannot certify are decomposed by SVD, and the kernel check runs
+only on the rows whose loop is singular.  A gate on a stack measures its
+worst row, so one bad row fails the whole stack.
 
 :func:`star` gates every result on unitarity and measures its inputs only
 when that gate fails, so a successful call makes one measurement.
@@ -35,7 +38,7 @@ from .errors import (
     InvalidInputError,
     SeriesDivergentError,
 )
-from .numerics import max_abs, operator_norm, pseudo_inverse
+from .numerics import DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse
 from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
 
 KERNEL_SV_TOL = 1e-10
@@ -113,11 +116,21 @@ def _apply_wiring(s2: ScatteringMatrix, s1: ScatteringMatrix, wiring: Wiring):
     return s2.permuted(in_slots, out_slots)
 
 
+def _interface_product(s2: ScatteringMatrix, s1: ScatteringMatrix):
+    """S2^{.,L} S1^{R,.}, the one matmul through the interface of a merge,
+    [S2_LL S1_RL, S2_LL S1_RR; S2_RL S1_RL, S2_RL S1_RR], and its loop block
+    S2_LL S1_RR."""
+    d = s1.spec.dim
+    prod = s2.matrix[..., :s2.spec.left_in * d] @ s1.matrix[..., s1.spec.left_out * d:, :]
+    return prod, prod[..., :s2.spec.left_out * d, s1.spec.left_in * d:]
+
+
 def loop_matrix(s2: ScatteringMatrix, s1: ScatteringMatrix) -> np.ndarray:
-    """The loop matrix 1 - S2^{L,L} S1^{R,R} resumming internal reflections."""
+    """The loop matrix 1 - S2^{L,L} S1^{R,R} resumming internal reflections,
+    as :func:`star` inverts it (by LU where certified regular, else by SVD)."""
     _validate_pair(s2, s1)
-    prod = s2.block("L", "L") @ s1.block("R", "R")
-    return np.eye(prod.shape[-1]) - prod
+    hop = _interface_product(s2, s1)[1]
+    return np.eye(hop.shape[-1]) - hop
 
 
 def _result_spec(s2: ScatteringMatrix, s1: ScatteringMatrix) -> PortSpec:
@@ -126,9 +139,10 @@ def _result_spec(s2: ScatteringMatrix, s1: ScatteringMatrix) -> PortSpec:
                     s2.spec.right_in, s2.spec.right_out, s1.spec.dim)
 
 
-def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray):
-    """Star-product block assembly given a resolved loop inverse; the
-    blocks may be rectangular."""
+def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray,
+              prod: np.ndarray):
+    """Star-product block assembly given a resolved loop inverse and the
+    :func:`_interface_product`; the blocks may be rectangular."""
     spec = _result_spec(s2, s1)
     d = spec.dim
     lo1, li1 = s1.spec.left_out * d, s1.spec.left_in * d
@@ -137,14 +151,11 @@ def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray):
     # y = direct + feed @ linv @ drive, with drive the amplitudes that the
     # outer inputs send into s1's right-in slots before any round trip, and
     # feed what one amplitude there contributes to the outer outputs.
-    s2_l_s1_rl = m2[..., :li2] @ m1[..., lo1:, :li1]  # [S2_LL S1_RL; S2_RL S1_RL]
-    drive = np.concatenate((s2_l_s1_rl[..., :lo2, :], m2[..., :lo2, li2:]), axis=-1)
-    feed = np.concatenate(
-        (m1[..., :lo1, li1:], m2[..., lo2:, :li2] @ m1[..., lo1:, li1:]), axis=-2
-    )
+    drive = np.concatenate((prod[..., :lo2, :li1], m2[..., :lo2, li2:]), axis=-1)
+    feed = np.concatenate((m1[..., :lo1, li1:], prod[..., lo2:, li1:]), axis=-2)
     matrix = feed @ (linv @ drive)
     matrix[..., :lo1, :li1] += m1[..., :lo1, :li1]
-    matrix[..., lo1:, :li1] += s2_l_s1_rl[..., lo2:, :]
+    matrix[..., lo1:, :li1] += prod[..., lo2:, :li1]
     matrix[..., lo1:, li1:] += m2[..., lo2:, li2:]
     return ScatteringMatrix._trusted(matrix, spec)
 
@@ -256,31 +267,40 @@ def _kernel_residuals(kmat, s2, s1) -> tuple:
     )
 
 
-def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix):
-    """Pseudo-inverse of the loop matrix (of every row of a stack) and the
-    decoupling report of its kernel.  One batched SVD serves both; the
-    residuals are computed only for the rows whose loop is singular, and
-    merged into one report."""
-    loop = loop_matrix(s2, s1)
-    if loop.shape[-1] == 0:
-        return loop, KernelDecouplingReport(0, ())
-    linv, sing, v = pseudo_inverse(loop)
-    singular = sing[..., -1] < KERNEL_SV_TOL
-    if not singular.any():
+def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix, hop: np.ndarray):
+    """Inverse of the loop matrix 1 - hop (of every row of a stack) and the
+    decoupling report of its kernel.  A batched LU inverse serves each row it
+    certifies: sigma_min > KERNEL_SV_TOL and cond_2 < 1 / DEFAULT_REL_TOL, so
+    it is the pseudo-inverse (a NaN or Inf fails).  The rest take the SVD
+    pseudo-inverse, and its singular rows the kernel check."""
+    loop = np.eye(hop.shape[-1]) - hop
+    try:
+        linv = np.linalg.inv(loop)
+    except np.linalg.LinAlgError:
+        linv = np.full_like(loop, np.nan)
+    inv_norm = np.linalg.norm(linv, axis=(-2, -1))
+    regular = (inv_norm * KERNEL_SV_TOL < 1) & (
+        np.linalg.norm(loop, axis=(-2, -1)) * inv_norm * DEFAULT_REL_TOL < 1)
+    if regular.all():
         return linv, KernelDecouplingReport(0, ())
+    n, rows = loop.shape[-1], np.flatnonzero(~regular)
+    linv = linv.reshape(-1, n, n)
+    linv[rows], sing, v = pseudo_inverse(loop.reshape(-1, n, n)[rows])
     kernel_dim, residuals = 0, ()
-    for i in filter(singular.__getitem__, np.ndindex(singular.shape)):
-        kmat = v[i][:, sing[i] < KERNEL_SV_TOL]
+    for j in np.flatnonzero(sing[:, -1] < KERNEL_SV_TOL):
+        i = np.unravel_index(rows[j], regular.shape)
+        kmat = v[j][:, sing[j] < KERNEL_SV_TOL]
         kernel_dim += kmat.shape[1]
         residuals += _kernel_residuals(kmat, s2.row(i), s1.row(i))
-    return linv, KernelDecouplingReport(kernel_dim, residuals)
+    return linv.reshape(loop.shape), KernelDecouplingReport(kernel_dim, residuals)
 
 
 def kernel_decoupling_check(
     s2: ScatteringMatrix, s1: ScatteringMatrix
 ) -> KernelDecouplingReport:
     """Verify that loop-kernel modes are invisible from all dangling ports."""
-    return _loop_inverse(s2, s1)[1]
+    _validate_pair(s2, s1)
+    return _loop_inverse(s2, s1, _interface_product(s2, s1)[1])[1]
 
 
 def star(
@@ -291,9 +311,11 @@ def star(
     """Redheffer star product ``s2 * s1``.
 
     Homogeneous and dishomogeneous pairs alike are composed directly by the
-    block formula (no padding).  Whenever the loop matrix is (near-)singular
-    the Kostrykin-Schrader decoupling conditions are verified rather than
-    assumed.  The output is gated on unitarity first; only when that gate
+    block formula (no padding).  A regular merge costs one interface
+    matmul, one LU inverse of the loop and two assembly matmuls; a loop
+    the LU inverse cannot certify regular takes the SVD pseudo-inverse, and
+    whenever it is (near-)singular the Kostrykin-Schrader decoupling
+    conditions are verified rather than assumed.  The output is gated on unitarity first; only when that gate
     fails (a NaN fails it too) are the inputs measured, and the call raises
     unless one of them is itself non-unitary.  Stacks are composed row by
     row in one pass; every measurement takes the worst row.
@@ -302,14 +324,15 @@ def star(
     if wiring is not None:
         s2 = _apply_wiring(s2, s1, wiring)
 
-    linv, report = _loop_inverse(s2, s1)
+    prod, hop = _interface_product(s2, s1)
+    linv, report = _loop_inverse(s2, s1, hop)
     if not report.ok:
         raise InternalConsistencyError(
             "loop matrix is singular but kernel modes couple to the "
             f"output ports (residual {report.max_residual:.3e}); "
             "inputs are not unitary"
         )
-    result = _assemble(s2, s1, linv)
+    result = _assemble(s2, s1, linv, prod)
     defect = unitarity_defect(result.matrix)
     if not defect <= RESULT_UNITARITY_TOL and not any(
         unitarity_defect(s.matrix) > UNITARITY_TOL for s in (s1, s2)
@@ -351,13 +374,13 @@ def star_via_series(
 ) -> ScatteringMatrix:
     """Star product with the loop inverse resummed as a geometric series.
 
-    Independent of the pseudo-inverse path; serves as its oracle on the
-    contractive domain.
+    Independent of the LU and pseudo-inverse loop inverse of :func:`star`;
+    serves as its oracle on the contractive domain.
     """
     _validate_pair(s2, s1)
     if wiring is not None:
         s2 = _apply_wiring(s2, s1, wiring)
-    hop = s2.block("L", "L") @ s1.block("R", "R")
+    prod, hop = _interface_product(s2, s1)
     if hop.shape[-1] and operator_norm(hop) >= 1.0:
         raise SeriesDivergentError(
             "geometric series diverges: ||S2^{L,L} S1^{R,R}|| >= 1"
@@ -369,4 +392,4 @@ def star_via_series(
         if max_abs(term) < tol:
             break
         linv = linv + term
-    return _assemble(s2, s1, linv)
+    return _assemble(s2, s1, linv, prod)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .capacity import CapacityBounds, detect_superactivation
+from .capacity import PROB_CLAMP_TOL, CapacityBounds, detect_superactivation
 from .channel import transmission_operator
 from .errors import InternalConsistencyError, InvalidInputError
 from .graph import QuantumGraph, contract
@@ -241,8 +241,9 @@ def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
     Keys ``single_up``, ``single_dn`` (barrier-then-loss) and ``double_up``,
     ``double_dn`` (the resonant double-barrier line with its Fabry-Perot
     denominator).  Raises InternalConsistencyError where that denominator
-    falls below RESONANT_DENOM_FLOOR or an amplitude exceeds unity: there
-    the closed form has lost its accuracy, and no value is returned.
+    falls below RESONANT_DENOM_FLOOR or a probability |m|^2 exceeds
+    1 + PROB_CLAMP_TOL: there the closed form has lost its accuracy, and no
+    value is returned.
     """
     energies = np.asarray(energies, dtype=float)
     rt = np.sqrt(1.0 - base.eta)
@@ -260,9 +261,11 @@ def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
             )
         out[f"single_{label}"] = rt * t
         out[f"double_{label}"] = rt * t * t / denom
-    worst = np.max(np.abs(np.stack(list(out.values()))))
-    if not worst <= 1.0 + 1e-10:
-        raise InternalConsistencyError(f"closed-form amplitude {worst:.3e} exceeds unity")
+    # Gated as a probability, on the bound erasure_capacity enforces.
+    worst = np.max(np.abs(np.stack(list(out.values())))) ** 2
+    if not worst <= 1.0 + PROB_CLAMP_TOL:
+        raise InternalConsistencyError(
+            f"closed-form transmission probability {worst:.12f} exceeds unity")
     return out
 
 

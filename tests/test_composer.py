@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scatchan import composer
+from scatchan import composer, numerics
 from scatchan.composer import (
     Wiring,
     kernel_decoupling_check,
@@ -18,7 +18,7 @@ from scatchan.errors import (
     InvalidInputError,
     SeriesDivergentError,
 )
-from scatchan.numerics import max_abs, operator_norm
+from scatchan.numerics import max_abs, operator_norm, pseudo_inverse
 from scatchan.smatrix import PortSpec, ScatteringMatrix, s_to_t, t_to_s, unitarity_defect
 
 from conftest import (
@@ -408,6 +408,117 @@ class TestStacks:
         rows = [random_smatrix(rng, 1, 1) for _ in range(3)]
         with pytest.raises(InvalidInputError, match="stack shapes differ"):
             star(stacked(rows), rows[0])
+
+
+def count_svds(monkeypatch):
+    """Record the shape of every stack ``numerics.svd`` decomposes."""
+    shapes = []
+    original = numerics.svd
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(numerics, "svd", counted)
+    return shapes
+
+
+class TestHybridLoopInverse:
+    """Loops certified regular are inverted by LU alone; the rest take the
+    SVD pseudo-inverse and, where singular, the kernel check."""
+
+    @staticmethod
+    def regular_stacks(rng):
+        for k, d in ((1, 1), (1, 2), (2, 2), (3, 1)):
+            pairs = [(random_smatrix(rng, k, d), random_smatrix(rng, k, d)) for _ in range(6)]
+            yield stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+        for _ in range(5):
+            pairs = dishomogeneous_rows(rng, int(rng.integers(1, 3)), 4)
+            yield stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+
+    def test_regular_stacks_take_no_svd(self, monkeypatch):
+        shapes = count_svds(monkeypatch)
+        for s2, s1 in self.regular_stacks(np.random.default_rng(60)):
+            star(s2, s1)
+            star(s2.row(0), s1.row(0))
+        assert shapes == []
+
+    def test_lu_inverse_is_the_pseudo_inverse_on_regular_rows(self):
+        for s2, s1 in self.regular_stacks(np.random.default_rng(61)):
+            hop = composer._interface_product(s2, s1)[1]
+            linv, report = composer._loop_inverse(s2, s1, hop)
+            assert report.kernel_dim == 0
+            assert max_abs(linv - pseudo_inverse(loop_matrix(s2, s1))[0]) <= 1e-13
+
+    def test_mixed_stack_checks_each_singular_row_once(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        pairs = [singular_loop_pair(rng, 2, 2) if i % 3 == 1 else
+                 (random_smatrix(rng, 2, 2), random_smatrix(rng, 2, 2))
+                 for i in range(9)]
+        s2, s1 = stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+        rowwise = [star(*p).matrix for p in pairs]
+        kernels = TestDirectVersusPadded.count_kernel_checks(monkeypatch)
+        got = star(s2, s1)
+        assert len(kernels) == 3 and min(kernels) >= 1
+        monkeypatch.undo()
+        for i, row in enumerate(rowwise):
+            assert max_abs(got.matrix[i] - row) <= 1e-13
+        assert max_abs(got.matrix - star_via_padding(s2, s1).matrix) <= 1e-12
+
+    @pytest.mark.parametrize("detuning, kernel_dim", [(1e-11, 1), (1e-9, 0)])
+    def test_certificate_follows_the_kernel_threshold(self, monkeypatch, detuning, kernel_dim):
+        # Rows 1 and 3 have the loop 1 - e^{i detuning}, whose one singular
+        # value is ~detuning, on either side of KERNEL_SV_TOL; LU inverts it
+        # without a zero pivot, so only the certificate sends it to the SVD.
+        rng = np.random.default_rng(64)
+        near = (phase_reflector(0.4 + detuning, 0.9), phase_reflector(0.2, -0.4))
+        pairs = [near if i in (1, 3) else (random_smatrix(rng, 1, 1), random_smatrix(rng, 1, 1))
+                 for i in range(5)]
+        s2, s1 = stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+        rowwise = [star(*p).matrix for p in pairs]
+        shapes = count_svds(monkeypatch)
+        assert kernel_decoupling_check(s2, s1).kernel_dim == 2 * kernel_dim
+        assert shapes == [(2, 1, 1)] * kernel_dim  # the uncertified rows alone
+        got = star(s2, s1)
+        monkeypatch.undo()
+        for i, row in enumerate(rowwise):
+            assert max_abs(got.matrix[i] - row) <= 1e-13
+        assert max_abs(rowwise[1] - np.diag([np.exp(0.2j), np.exp(0.9j)])) < 1e-12
+
+    @staticmethod
+    def loop_inverse(loop):
+        """``_loop_inverse`` of the 2x2 loop ``loop`` between two identity
+        scatterers (whose blocks only the kernel check reads)."""
+        s = ScatteringMatrix._trusted(np.eye(4, dtype=complex), PortSpec(1, 1, 1, 1, 2))
+        return composer._loop_inverse(s, s, np.eye(2) - loop)
+
+    def test_certificate_bounds_the_condition_number(self):
+        # sigma_min = 1e-9 clears KERNEL_SV_TOL, but cond_2 = 1e13 is past the
+        # pseudo-inverse cutoff, which drops that singular value.
+        linv, report = self.loop_inverse(np.diag([1e4, 1e-9]).astype(complex))
+        assert report.kernel_dim == 0
+        assert max_abs(linv - np.diag([1e-4, 0.0])) <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_infinite_loop_with_finite_lu_inverse_is_rejected(self):
+        loop = np.diag([np.inf, 1.0]).astype(complex)
+        assert np.all(np.isfinite(np.linalg.inv(loop)))
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            self.loop_inverse(loop)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nonfinite_loop_is_rejected(self, bad):
+        rng = np.random.default_rng(63)
+        rows = [random_smatrix(rng, 1, 2) for _ in range(4)]
+        broken = np.stack([r.matrix for r in rows])
+        broken[2, 2, 3] = bad  # an entry of s1's right-right block
+        s1 = ScatteringMatrix._trusted(broken, rows[0].spec)
+        s2 = stacked(rows[::-1])
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            star(s2, s1)
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            star(s2.row(2), s1.row(2))
 
 
 def test_nan_output_defect_fails_the_gate(monkeypatch):

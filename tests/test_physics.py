@@ -382,6 +382,9 @@ class TestLoudFailures:
         ("grid", {"start": 0.1, "stop": 0.9, "points": True}),
         ("cross_check_every", "abc"),
         ("cross_check_every", -1),
+        # Rejected by the bound check alone; neither grid is ever built.
+        ("grid", {"start": 0.1, "stop": 0.9, "points": 1e300}),
+        ("grid", {"start": 0.1, "stop": 0.9, "points": cli.MAX_GRID_POINTS + 1}),
     ])
     def test_nonfinite_scenario_exits_2(self, tmp_path, capsys, field, value):
         scenario = {
@@ -395,6 +398,23 @@ class TestLoudFailures:
         path.write_text(json.dumps(scenario))
         assert cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_probability_above_the_capacity_bound_is_inconsistent(
+            self, monkeypatch, tmp_path):
+        # A lossless, reflectionless barrier with t^2 = 1 + 8e-11: the double
+        # amplitude t^2 passes 1 + PROB_CLAMP_TOL, its probability does not.
+        def overshooting(energies, height, half_width):
+            t = np.full(np.shape(energies), np.sqrt(1.0 + 8e-11), dtype=complex)
+            return np.zeros_like(t), t
+
+        monkeypatch.setattr(physics, "barrier_coefficients", overshooting)
+        base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.0)
+        with pytest.raises(InternalConsistencyError, match="probability"):
+            energy_sweep(base, np.linspace(0.1, 0.9, 5), cross_check_every=0)
+        path = tmp_path / "overshoot.json"
+        path.write_text(json.dumps({**OPAQUE, "half_width": HALF_WIDTH_REF}))
+        assert cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 3
         assert not (tmp_path / "out").exists()
 
     def test_nan_pipeline_fails_the_gates(self, monkeypatch, capsys):
