@@ -14,6 +14,9 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
   ``ru_maxrss`` of its children by a wrapper process that starts it (the
   smallest of the repeats);
 * ``import_s``: ``python -c "import scatchan"`` as a child process;
+* ``crosscheck_full_peak_rss_mb``: the ``ru_maxrss`` of a child process that
+  runs only the ``cross_check_every=1`` sweep of the scenario's 20k grid,
+  once (the smallest of the repeats);
 * ``energy_sweep_s``: ``physics.energy_sweep`` on the scenario's 20k grid at
   the default cross-check stride, in a warm process;
 * ``crosscheck_full_s``: the same sweep with ``cross_check_every=1``, every
@@ -45,11 +48,17 @@ import numpy as np
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
 REPEATS = 7
 ROWS = ("run_s", "verify_s", "import_s", "run_peak_rss_mb", "energy_sweep_s",
-        "crosscheck_full_s", "to_csv_s", "svg_line_plot_s")
+        "crosscheck_full_s", "crosscheck_full_peak_rss_mb", "to_csv_s", "svg_line_plot_s")
 # Runs argv[1:] as its one child and prints that child's ru_maxrss (KiB on Linux).
 RSS_WRAPPER = ("import resource, subprocess, sys; "
                "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+# Runs the full cross-check sweep of the scenario argv[1] once and prints its
+# own ru_maxrss.
+CROSSCHECK_RSS = ("import resource, sys; from scatchan import cli, physics; "
+                  "base, grid = cli._sweep_inputs(cli.load_scenario(sys.argv[1]))[:2]; "
+                  "physics.energy_sweep(base, grid, cross_check_every=1); "
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 
 
 def best_of(fn) -> float:
@@ -102,7 +111,8 @@ def _artifacts(out_dir: Path) -> dict:
 
 def measure(trees: dict) -> dict:
     results = {label: {"commit": _commit(src)} for label, src in trees.items()}
-    samples = {label: {row: [] for row in ("run_s", "verify_s", "import_s", "run_peak_rss_mb")}
+    samples = {label: {row: [] for row in ("run_s", "verify_s", "import_s", "run_peak_rss_mb",
+                                           "crosscheck_full_peak_rss_mb")}
                for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(REPEATS):
@@ -122,6 +132,8 @@ def measure(trees: dict) -> dict:
                 wrapped = _child(src, "-c", RSS_WRAPPER, sys.executable, "-m", "scatchan.cli",
                                  "--threads", "1", "--out", str(out), "run", scenario)
                 samples[label]["run_peak_rss_mb"].append(int(wrapped.stdout) / 1024)
+                swept = _child(src, "-c", CROSSCHECK_RSS, scenario)
+                samples[label]["crosscheck_full_peak_rss_mb"].append(int(swept.stdout) / 1024)
         for label in trees:
             results[label]["artifacts"] = _artifacts(Path(tmp) / label)
     for label, src in trees.items():

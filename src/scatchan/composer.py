@@ -272,12 +272,17 @@ def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix, hop: np.ndarray):
     decoupling report of its kernel.  A batched LU inverse serves each row it
     certifies: sigma_min > KERNEL_SV_TOL and cond_2 < 1 / DEFAULT_REL_TOL, so
     it is the pseudo-inverse (a NaN or Inf fails).  The rest take the SVD
-    pseudo-inverse, and its singular rows the kernel check."""
+    pseudo-inverse, and its singular rows the kernel check.  A row on which
+    LU meets an exact zero pivot (det, from the same factorization, is 0 or
+    NaN) stays NaN and so uncertified; the other rows keep their LU inverse."""
     loop = np.eye(hop.shape[-1]) - hop
     try:
         linv = np.linalg.inv(loop)
     except np.linalg.LinAlgError:
         linv = np.full_like(loop, np.nan)
+        lu = np.linalg.det(loop) != 0
+        if lu.any():  # never for one matrix, whose one row just failed
+            linv[lu] = np.linalg.inv(loop[lu])
     inv_norm = np.linalg.norm(linv, axis=(-2, -1))
     regular = (inv_norm * KERNEL_SV_TOL < 1) & (
         np.linalg.norm(loop, axis=(-2, -1)) * inv_norm * DEFAULT_REL_TOL < 1)

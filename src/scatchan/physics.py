@@ -10,10 +10,13 @@ i*sqrt(Et - h) above the top.  One complex code path covers both regimes.
 Both routes to the transmission operator run on a whole energy grid at
 once: the closed form (:func:`closed_form_amplitudes`) and the graph
 pipeline (:func:`pipeline_amplitudes`), which contracts stacks of scattering
-matrices with one entry per energy.  :func:`closed_form_m` and
-:func:`pipeline_m` are their one-point calls.  The barrier-line builders
-(:func:`barrier_smatrix`, :func:`translated_barrier`,
-:func:`barrier_graphs`) take a grid or a single energy: one matrix for a
+matrices with one entry per energy, in chunks of at most PIPELINE_CHUNK
+energies.  The pipeline builds the double line as the paper's resonant
+concatenation: the contracted single line (barrier, then loss scatterer)
+star-merged with the second barrier, so the two lines cost two merges.
+:func:`closed_form_m` and :func:`pipeline_m` are the one-point calls.  The
+barrier-line builders (:func:`barrier_smatrix`, :func:`translated_barrier`,
+:func:`barrier_lines`) take a grid or a single energy: one matrix for a
 scalar, a stack for a 1-D grid.
 """
 
@@ -32,6 +35,7 @@ from .graph import QuantumGraph, contract
 from .smatrix import PortSpec, ScatteringMatrix
 
 PIPELINE_MATCH_TOL = 1e-9
+PIPELINE_CHUNK = 2048  # energies per contraction in pipeline_amplitudes
 RESONANT_DENOM_FLOOR = 1e-14
 
 
@@ -143,35 +147,31 @@ def loss_smatrix(eta: float) -> ScatteringMatrix:
     return ScatteringMatrix(np.kron(pattern, np.eye(2)), PortSpec(2, 2, 2, 2, 2))
 
 
-def barrier_graphs(base: BarrierParams, energies) -> dict:
-    """The barrier lines of ``base`` at each energy (one graph of matrices
-    for a scalar, of stacks for a 1-D grid), sharing one barrier stack.
+def barrier_lines(base: BarrierParams, energies) -> dict:
+    """The global scattering matrices of ``base``'s barrier lines at each
+    energy (one matrix for a scalar, a stack for a 1-D grid), built on one
+    barrier stack.
 
     ``single``: barrier followed by the loss scatterer, Bob on the
-    continuing-line output.  ``double``: barrier, loss scatterer and the
-    translated second barrier, Bob past the second barrier.  Alice is on
+    continuing-line output.  ``double``: the single line's resonant
+    concatenation with the translated second barrier, one merge on top of
+    the contracted single line, Bob past the second barrier.  Alice is on
     port 1 and Bob on port 4 of both.
     """
     barrier = barrier_smatrix(base, energies)
     loss = loss_smatrix(base.eta).broadcast_to(np.shape(energies))
-    second = translated_barrier(barrier, base.separation, energies)
-    single = QuantumGraph.build(
+    ports = [(1, 0), (2, 1), (2, 2), (2, 3)]
+    single = contract(QuantumGraph.build(
         vertices=[(1, barrier), (2, loss)],
         internal_edges=[((1, 1), (2, 0)), ((2, 0), (1, 1))],
-        dangling_in=[(1, 0), (2, 1), (2, 2), (2, 3)],
-        dangling_out=[(1, 0), (2, 1), (2, 2), (2, 3)],
-    )
-    double = QuantumGraph.build(
-        vertices=[(1, barrier), (2, loss), (3, second)],
-        internal_edges=[
-            ((1, 1), (2, 0)),
-            ((2, 0), (1, 1)),
-            ((2, 3), (3, 0)),
-            ((3, 0), (2, 3)),
-        ],
-        dangling_in=[(1, 0), (2, 1), (2, 2), (3, 1)],
-        dangling_out=[(1, 0), (2, 1), (2, 2), (3, 1)],
-    )
+        dangling_in=ports, dangling_out=ports,
+    ))
+    ports = [(1, 0), (1, 1), (1, 2), (2, 1)]
+    double = contract(QuantumGraph.build(
+        vertices=[(1, single), (2, translated_barrier(barrier, base.separation, energies))],
+        internal_edges=[((1, 3), (2, 0)), ((2, 0), (1, 3))],
+        dangling_in=ports, dangling_out=ports,
+    ))
     return {"single": single, "double": double}
 
 
@@ -183,25 +183,30 @@ def pipeline_amplitudes(base: BarrierParams, energies) -> dict:
     Keys ``single`` and ``double``, each a stack of 2x2 operators (spin up
     first), one per energy; the whole operator is kept, so a spurious
     spin-mixing entry shows in a comparison with the diagonal closed form.
-    Both graphs come from one :func:`barrier_graphs` call, so the barrier
-    stack is built and checked once, and each graph is contracted once for
-    the whole grid.
+    Both lines come from one :func:`barrier_lines` call: one barrier stack,
+    one merge for the single line and one more for the double line.  A grid
+    longer than PIPELINE_CHUNK runs in chunks of at most that many
+    energies, which bounds the memory of the stacks; the rows do not depend
+    on the chunking.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1:
         raise InvalidInputError("energies must be a 1-D sequence")
+    if energies.size > PIPELINE_CHUNK:
+        parts = [pipeline_amplitudes(base, chunk) for chunk in
+                 np.array_split(energies, -(-energies.size // PIPELINE_CHUNK))]
+        return {cfg: np.concatenate([part[cfg] for part in parts]) for cfg in parts[0]}
     return {
-        cfg: transmission_operator(contract(g), in_port=1, out_port=4)
-        for cfg, g in barrier_graphs(base, energies).items()
+        cfg: transmission_operator(s, in_port=1, out_port=4)
+        for cfg, s in barrier_lines(base, energies).items()
     }
 
 
 def pipeline_m(p: BarrierParams, double: bool) -> np.ndarray:
     """Transmission operator through graph contraction at one energy; the
-    one-point call of :func:`pipeline_amplitudes` for one configuration
-    (the other is not contracted), mirroring :func:`closed_form_m`."""
-    g = barrier_graphs(p, [p.energy_ratio])["double" if double else "single"]
-    return transmission_operator(contract(g), in_port=1, out_port=4)[0]
+    one-point call of :func:`pipeline_amplitudes` (which contracts both
+    lines), mirroring :func:`closed_form_m`."""
+    return pipeline_amplitudes(p, [p.energy_ratio])["double" if double else "single"][0]
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,12 @@ class TestVerify:
         assert "transmission" in captured.out
         assert "within tolerance" in captured.out
 
-    def test_barrier_sweep(self, tmp_path):
+    def test_barrier_sweep(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "verify", small_sweep(tmp_path)])
         assert rc == 0
+        # 300 points sampled at stride 300 // 64 = 4
+        assert ("closed form checked against the pipeline at 75 of 300 grid points"
+                in capsys.readouterr().out)
 
     def test_wrong_expectation_exits_3(self, tmp_path):
         sc = json.loads((SCENARIOS / "star_demo.json").read_text())

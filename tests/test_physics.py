@@ -5,7 +5,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from scatchan import cli, physics
+from scatchan import cli, graph, physics
 from scatchan.capacity import capacity_bounds, detect_superactivation
 from scatchan.errors import InternalConsistencyError, InvalidInputError
 from scatchan.numerics import max_abs
@@ -13,7 +13,7 @@ from scatchan.physics import (
     PIPELINE_MATCH_TOL,
     BarrierParams,
     barrier_coefficients,
-    barrier_graphs,
+    barrier_lines,
     barrier_smatrix,
     closed_form_m,
     energy_sweep,
@@ -23,7 +23,7 @@ from scatchan.physics import (
     translated_barrier,
 )
 from scatchan.graph import contract, validate
-from scatchan.smatrix import unitarity_defect
+from scatchan.smatrix import PortSpec, unitarity_defect
 
 HALF_WIDTH_REF = 0.06 * np.sqrt(20)
 SEPARATION_REF = 10 * np.sqrt(20)
@@ -233,40 +233,107 @@ class TestPipelineAmplitudes:
         pipeline_amplitudes(base, np.linspace(0.1, 0.9, 7))
         assert built == [(7, 1)]
 
+    def test_chunked_grid_matches_one_call(self, monkeypatch):
+        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        energies = np.linspace(0.005, 2.0, 200)
+        whole = pipeline_amplitudes(base, energies)
+        built = []
+        original = physics.barrier_coefficients
+
+        def counted(*args):
+            built.append(np.shape(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(physics, "barrier_coefficients", counted)
+        monkeypatch.setattr(physics, "PIPELINE_CHUNK", 64)
+        chunked = pipeline_amplitudes(base, energies)
+        assert built == [(50, 1)] * 4
+        for cfg in ("single", "double"):
+            assert np.array_equal(chunked[cfg], whole[cfg])
+
 
 class TestPipelineGraphs:
-    def test_graphs_validate(self):
-        p = BarrierParams(0.5, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        graphs = barrier_graphs(p, 0.5)
-        assert validate(graphs["single"]) == []
-        assert validate(graphs["double"]) == []
+    """barrier_lines contracts the single line, then the double line as the
+    single line's resonant concatenation with the second barrier."""
 
-    def test_contracted_global_matrix_unitary(self):
-        p = BarrierParams(0.7, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        for g in barrier_graphs(p, 0.7).values():
-            s_g = contract(g)
-            assert unitarity_defect(s_g.matrix) < 1e-9
+    BASE = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
 
-    def test_graphs_share_one_barrier_stack(self):
-        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        graphs = barrier_graphs(base, np.linspace(0.1, 0.9, 7))
-        single, double = dict(graphs["single"].vertices), dict(graphs["double"].vertices)
-        assert single[1] is double[1]
-        assert single[1].matrix.shape == (7, 4, 4)
-
-    def test_pipeline_m_contracts_only_the_requested_graph(self, monkeypatch):
-        contracted = []
+    @staticmethod
+    def contracted_graphs(monkeypatch):
+        """Record every graph ``physics`` contracts."""
+        graphs = []
         original = physics.contract
 
-        def counted(g, *args, **kwargs):
-            contracted.append(len(g.vertices))
+        def recorded(g, *args, **kwargs):
+            graphs.append(g)
             return original(g, *args, **kwargs)
 
-        monkeypatch.setattr(physics, "contract", counted)
-        p = BarrierParams(0.47, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        pipeline_m(p, False)
-        pipeline_m(p, True)
-        assert contracted == [2, 3]
+        monkeypatch.setattr(physics, "contract", recorded)
+        return graphs
+
+    def test_graphs_validate(self, monkeypatch):
+        graphs = self.contracted_graphs(monkeypatch)
+        barrier_lines(self.BASE, 0.5)
+        assert [len(g.vertices) for g in graphs] == [2, 2]
+        assert [validate(g) for g in graphs] == [[], []]
+
+    def test_contracted_global_matrix_unitary(self):
+        for energies in (0.7, np.linspace(0.005, 2.0, 50)):
+            for s in barrier_lines(self.BASE, energies).values():
+                assert s.spec == PortSpec(4, 4, 0, 0, 2)
+                assert s.matrix.shape == np.shape(energies) + (8, 8)
+                assert unitarity_defect(s.matrix) < 1e-9
+
+    def test_graphs_share_one_barrier_stack(self, monkeypatch):
+        shifted = []
+        original = physics.translated_barrier
+
+        def recorded(s1, *args):
+            shifted.append(s1)
+            return original(s1, *args)
+
+        monkeypatch.setattr(physics, "translated_barrier", recorded)
+        graphs = self.contracted_graphs(monkeypatch)
+        lines = barrier_lines(self.BASE, np.linspace(0.1, 0.9, 7))
+        single, double = (dict(g.vertices) for g in graphs)
+        assert len(shifted) == 1 and shifted[0] is single[1]
+        assert single[1].matrix.shape == (7, 4, 4)
+        assert double[1] is lines["single"]
+
+    def test_double_line_is_the_three_vertex_contraction(self):
+        # The double line contracted from scratch (barrier, loss scatterer,
+        # second barrier) is the oracle for the concatenation.
+        energies = np.linspace(0.005, 2.0, 200)
+        barrier = barrier_smatrix(self.BASE, energies)
+        ports = [(1, 0), (2, 1), (2, 2), (3, 1)]
+        three = graph.QuantumGraph.build(
+            vertices=[
+                (1, barrier),
+                (2, loss_smatrix(self.BASE.eta).broadcast_to(energies.shape)),
+                (3, translated_barrier(barrier, self.BASE.separation, energies)),
+            ],
+            internal_edges=[((1, 1), (2, 0)), ((2, 0), (1, 1)),
+                            ((2, 3), (3, 0)), ((3, 0), (2, 3))],
+            dangling_in=ports, dangling_out=ports,
+        )
+        double = barrier_lines(self.BASE, energies)["double"]
+        assert double.spec == PortSpec(4, 4, 0, 0, 2)
+        assert np.array_equal(double.matrix, contract(three).matrix)
+
+    def test_pipeline_makes_two_merges(self, monkeypatch):
+        merges = []
+        original = graph.star
+
+        def counted(s2, s1, *args):
+            merges.append(s1.matrix.shape[:-2])
+            return original(s2, s1, *args)
+
+        monkeypatch.setattr(graph, "star", counted)
+        pipeline_amplitudes(self.BASE, np.linspace(0.1, 0.9, 7))
+        assert merges == [(7,), (7,)]
+        merges.clear()
+        pipeline_m(BarrierParams(0.47, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1), True)
+        assert merges == [(1,), (1,)]
 
 
 class TestEnergySweep:
