@@ -26,7 +26,8 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
   curves with the superactivation bands.
 
 The file also records the machine (nproc, Python and numpy versions), each
-tree's git commit, and the size and sha256 of the files ``run`` writes.
+tree's git commit and ``src_lines`` (the total ``wc -l`` of its
+``scatchan/*.py``), and the size and sha256 of the files ``run`` writes.
 Needs only the stdlib and numpy.
 """
 
@@ -103,6 +104,10 @@ def _commit(src: Path):
     return done.stdout.strip() or None
 
 
+def _src_lines(src: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (src / "scatchan").glob("*.py"))
+
+
 def _artifacts(out_dir: Path) -> dict:
     return {p.name: {"bytes": p.stat().st_size,
                      "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
@@ -110,7 +115,8 @@ def _artifacts(out_dir: Path) -> dict:
 
 
 def measure(trees: dict) -> dict:
-    results = {label: {"commit": _commit(src)} for label, src in trees.items()}
+    results = {label: {"commit": _commit(src), "src_lines": _src_lines(src)}
+               for label, src in trees.items()}
     samples = {label: {row: [] for row in ("run_s", "verify_s", "import_s", "run_peak_rss_mb",
                                            "crosscheck_full_peak_rss_mb")}
                for label in trees}

@@ -163,7 +163,7 @@ def load_scenario(path: str) -> dict:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"scenario must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in ("barrier-sweep", "graph-contract", "star-demo"):
+    if kind not in SCENARIO_KINDS:
         raise InvalidInputError(f"unknown scenario kind: {kind!r}")
     name = obj.setdefault("name", os.path.splitext(os.path.basename(path))[0])
     if (not isinstance(name, str) or name in ("", ".", "..") or "\x00" in name
@@ -263,12 +263,8 @@ def verify_barrier_sweep(sc: dict, out) -> float:
     """Closed-form vs pipeline, series vs star, unitarity, CPTP."""
     base, grid, _ = _sweep_inputs(sc)
     sample = grid[:: max(1, len(grid) // 64)]
-    closed = physics.closed_form_amplitudes(base, sample)
-    piped = physics.pipeline_amplitudes(base, sample)
-    worst = 0.0
-    for cfg in ("single", "double"):
-        gap = piped[cfg] - physics.closed_form_operators(closed, cfg)
-        worst = np.maximum(worst, np.max(np.abs(gap)))
+    worst = np.max(physics.pipeline_gap(
+        base, sample, physics.closed_form_amplitudes(base, sample)))
 
     # star vs geometric series on the barrier pair at a contractive energy
     e_mid = float(sample[len(sample) // 2])
@@ -322,31 +318,30 @@ def verify_star_demo(sc: dict, out) -> float:
     return worst
 
 
+# Each scenario kind: (run into an output directory, verify to a stream).
+SCENARIO_KINDS = {
+    "barrier-sweep": (run_barrier_sweep, verify_barrier_sweep),
+    "graph-contract": (run_graph_contract, verify_graph_contract),
+    "star-demo": (run_star_demo, verify_star_demo),
+}
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 
 
 def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
-    if sc["kind"] == "barrier-sweep":
-        emitted = run_barrier_sweep(sc, args.out)
-    elif sc["kind"] == "graph-contract":
-        emitted = run_graph_contract(sc, args.out)
-    else:
-        emitted = run_star_demo(sc, args.out)
-    for path in emitted:
+    run, _ = SCENARIO_KINDS[sc["kind"]]
+    for path in run(sc, args.out):
         print(path)
     return 0
 
 
 def _cmd_verify(args) -> int:
     sc = load_scenario(args.scenario)
-    if sc["kind"] == "barrier-sweep":
-        worst = verify_barrier_sweep(sc, sys.stdout)
-    elif sc["kind"] == "graph-contract":
-        worst = verify_graph_contract(sc, sys.stdout)
-    else:
-        worst = verify_star_demo(sc, sys.stdout)
+    _, verify = SCENARIO_KINDS[sc["kind"]]
+    worst = verify(sc, sys.stdout)
     if not worst <= VERIFY_TOL:
         print(f"FAIL: residual {worst:.3e} exceeds {VERIFY_TOL:.0e}", file=sys.stderr)
         return 3

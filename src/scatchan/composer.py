@@ -72,7 +72,7 @@ class Wiring:
                 tuple((int(a), int(b)) for a, b in obj["s1_to_s2"]),
                 tuple((int(a), int(b)) for a, b in obj["s2_to_s1"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed wiring: {exc}") from exc
 
 

@@ -57,7 +57,7 @@ class QuantumGraph:
             edges = [ (tuple(a), tuple(b)) for a, b in obj["edges"] ]
             din = [tuple(p) for p in obj["dangling_in"]]
             dout = [tuple(p) for p in obj["dangling_out"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed graph: {exc}") from exc
         return cls.build(vertices, edges, din, dout)
 

@@ -92,11 +92,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the repo-wide matrix literal."""
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        entries = [complex(re, im) for re, im in data]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed matrix literal: {exc}") from exc
-    if len(data) != rows * cols:
+    if len(entries) != rows * cols:
         raise InvalidInputError(
-            f"matrix literal has {len(data)} entries, expected {rows * cols}"
+            f"matrix literal has {len(entries)} entries, expected {rows * cols}"
         )
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return as_matrix(flat.reshape(rows, cols))
+    return as_matrix(np.array(entries, dtype=complex).reshape(rows, cols))

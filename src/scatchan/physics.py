@@ -8,12 +8,13 @@ height h the decay constant is kappa = sqrt(h - Et), continued to
 i*sqrt(Et - h) above the top.  One complex code path covers both regimes.
 
 Both routes to the transmission operator run on a whole energy grid at
-once: the closed form (:func:`closed_form_amplitudes`) and the graph
-pipeline (:func:`pipeline_amplitudes`), which contracts stacks of scattering
-matrices with one entry per energy, in chunks of at most PIPELINE_CHUNK
-energies.  The pipeline builds the double line as the paper's resonant
-concatenation: the contracted single line (barrier, then loss scatterer)
-star-merged with the second barrier, so the two lines cost two merges.
+once and return the keys ``single`` and ``double``: the graph pipeline
+(:func:`pipeline_amplitudes`) contracts stacks of scattering matrices, one
+per energy, in chunks of at most PIPELINE_CHUNK energies; the closed form
+(:func:`closed_form_amplitudes`) gives the diagonals of its operators, and
+:func:`pipeline_gap` is the one comparison of the two.  The pipeline builds
+the double line as the paper's resonant concatenation: the contracted single
+line (barrier, then loss scatterer) star-merged with the second barrier.
 :func:`closed_form_m` and :func:`pipeline_m` are the one-point calls.  The
 barrier-line builders (:func:`barrier_smatrix`, :func:`translated_barrier`,
 :func:`barrier_lines`) take a grid or a single energy: one matrix for a
@@ -243,29 +244,30 @@ class SweepTable:
 def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
     """Closed-form spin amplitudes of both configurations on an energy grid.
 
-    Keys ``single_up``, ``single_dn`` (barrier-then-loss) and ``double_up``,
-    ``double_dn`` (the resonant double-barrier line with its Fabry-Perot
-    denominator).  Raises InternalConsistencyError where that denominator
+    Keys ``single`` (barrier-then-loss) and ``double`` (the resonant
+    double-barrier line with its Fabry-Perot denominator): the diagonals of
+    the :func:`pipeline_amplitudes` operators, shape ``energies.shape + (2,)``,
+    spin up first.  Raises InternalConsistencyError where that denominator
     falls below RESONANT_DENOM_FLOOR or a probability |m|^2 exceeds
     1 + PROB_CLAMP_TOL: there the closed form has lost its accuracy, and no
     value is returned.
     """
     energies = np.asarray(energies, dtype=float)
-    rt = np.sqrt(1.0 - base.eta)
+    r, t = barrier_coefficients(
+        energies[..., None], np.array([1.0 + base.epsilon, 1.0 - base.epsilon]),
+        base.half_width,
+    )
     phi = 2.0 * np.sqrt(energies) * base.separation
-    out = {}
-    for label, height in (("up", 1.0 + base.epsilon), ("dn", 1.0 - base.epsilon)):
-        r, t = barrier_coefficients(energies, height, base.half_width)
-        denom = 1.0 - (1.0 - base.eta) * r * r * np.exp(1j * phi)
-        size = np.abs(denom)
-        if not np.all(size >= RESONANT_DENOM_FLOOR):
-            i = int(np.argmin(size))  # the first NaN, if any
-            raise InternalConsistencyError(
-                f"resonant denominator {size[i]:.3e} below "
-                f"{RESONANT_DENOM_FLOOR:.0e} at E/V0={energies[i]:.6f}"
-            )
-        out[f"single_{label}"] = rt * t
-        out[f"double_{label}"] = rt * t * t / denom
+    denom = 1.0 - (1.0 - base.eta) * r * r * np.exp(1j * phi)[..., None]
+    size = np.abs(denom)
+    if not np.all(size >= RESONANT_DENOM_FLOOR):
+        i = int(np.argmin(size))  # the first NaN, if any
+        raise InternalConsistencyError(
+            f"resonant denominator {size.flat[i]:.3e} below "
+            f"{RESONANT_DENOM_FLOOR:.0e} at E/V0={energies.flat[i // 2]:.6f}"
+        )
+    single = np.sqrt(1.0 - base.eta) * t
+    out = {"single": single, "double": single * t / denom}
     # Gated as a probability, on the bound erasure_capacity enforces.
     worst = np.max(np.abs(np.stack(list(out.values())))) ** 2
     if not worst <= 1.0 + PROB_CLAMP_TOL:
@@ -274,22 +276,24 @@ def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
     return out
 
 
-def closed_form_operators(amp: dict, cfg: str) -> np.ndarray:
-    """The diagonal 2x2 transmission operators of configuration ``cfg``
-    ('single' or 'double') from :func:`closed_form_amplitudes`, stacked
-    like :func:`pipeline_amplitudes`."""
-    up = amp[f"{cfg}_up"]
-    out = np.zeros(up.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = up
-    out[..., 1, 1] = amp[f"{cfg}_dn"]
-    return out
-
-
 def closed_form_m(p: BarrierParams, double: bool) -> np.ndarray:
     """Closed-form transmission operator at one energy; mirrors
     :func:`pipeline_m`."""
     amp = closed_form_amplitudes(p, [p.energy_ratio])
-    return closed_form_operators(amp, "double" if double else "single")[0]
+    return np.diag(amp["double" if double else "single"][0])
+
+
+def pipeline_gap(base: BarrierParams, energies, closed: dict) -> np.ndarray:
+    """The closed form checked against the graph pipeline: at each energy,
+    the largest entry gap, over both lines, between the operators of
+    :func:`pipeline_amplitudes` and the diagonal operators of ``closed``
+    (:func:`closed_form_amplitudes` at the same energies).  A NaN on either
+    side stays NaN."""
+    piped = pipeline_amplitudes(base, energies)
+    return np.maximum(*(
+        np.max(np.abs(piped[cfg] - closed[cfg][..., None] * np.eye(2)), axis=(-2, -1))
+        for cfg in ("single", "double")
+    ))
 
 
 def energy_sweep(
@@ -299,12 +303,12 @@ def energy_sweep(
 ) -> SweepTable:
     """Sweep the energy grid in one vectorized closed-form pass.
 
-    Every ``cross_check_every``-th grid point is recomputed through the
-    graph-contraction pipeline, all of them in one batched
-    :func:`pipeline_amplitudes` call; a gap above PIPELINE_MATCH_TOL (or a
-    NaN) raises InternalConsistencyError, as does a closed form that fails
-    its own resonance-floor or unit-amplitude check.  ``cross_check_every=0``
-    skips the pipeline.
+    Every ``cross_check_every``-th grid point is checked against the
+    graph-contraction pipeline by one :func:`pipeline_gap` call on exactly
+    the closed-form values the table holds; a gap above PIPELINE_MATCH_TOL
+    (or a NaN) raises InternalConsistencyError, as does a closed form that
+    fails its own resonance-floor or unit-amplitude check.
+    ``cross_check_every=0`` skips the pipeline.
     """
     energies = np.asarray(grid, dtype=float)
     if energies.ndim != 1 or energies.size < 1:
@@ -314,35 +318,26 @@ def energy_sweep(
     if not np.all(np.diff(energies) > 0):
         raise InvalidInputError("energy grid must be strictly increasing")
 
-    amp = closed_form_amplitudes(base, energies)
-    p_up_s = np.abs(amp["single_up"]) ** 2
-    p_dn_s = np.abs(amp["single_dn"]) ** 2
-    p_up_d = np.abs(amp["double_up"]) ** 2
-    p_dn_d = np.abs(amp["double_dn"]) ** 2
+    closed = closed_form_amplitudes(base, energies)
+    p = {cfg: np.abs(a) ** 2 for cfg, a in closed.items()}
     # Diagonal operators: |m_up|^2 and |m_dn|^2 are the singular probabilities.
     single, double = (
-        CapacityBounds(np.stack((np.minimum(up, dn), np.maximum(up, dn)), axis=-1), 2)
-        for up, dn in ((p_up_s, p_dn_s), (p_up_d, p_dn_d))
+        CapacityBounds(np.stack((np.minimum(*p[cfg].T), np.maximum(*p[cfg].T)), axis=-1), 2)
+        for cfg in ("single", "double")
     )
 
     if cross_check_every > 0:
-        pick = slice(None, None, cross_check_every)
-        checked = energies[pick]
-        piped = pipeline_amplitudes(base, checked)
-        picked = {key: value[pick] for key, value in amp.items()}
-        for cfg in ("single", "double"):
-            closed = closed_form_operators(picked, cfg)
-            gap = np.max(np.abs(piped[cfg] - closed), axis=(-2, -1))
-            bad = np.flatnonzero(~(gap <= PIPELINE_MATCH_TOL))
-            if bad.size:
-                i = bad[0]
-                raise InternalConsistencyError(
-                    f"closed-form/pipeline mismatch {gap[i]:.3e} at "
-                    f"E/V0={checked[i]:.6f} (double={cfg == 'double'})"
-                )
+        checked = energies[::cross_check_every]
+        gap = pipeline_gap(base, checked, {cfg: a[::cross_check_every]
+                                           for cfg, a in closed.items()})
+        bad = np.flatnonzero(~(gap <= PIPELINE_MATCH_TOL))
+        if bad.size:
+            i = bad[0]
+            raise InternalConsistencyError(
+                f"closed-form/pipeline mismatch {gap[i]:.3e} at E/V0={checked[i]:.6f}")
 
     return SweepTable(
-        energies, p_up_s, p_dn_s, p_up_d, p_dn_d,
+        energies, *p["single"].T, *p["double"].T,
         single.q_low, single.q_up, double.q_low, double.q_up,
         detect_superactivation(double, single),
     )

@@ -84,7 +84,7 @@ class PortSpec:
                 int(obj["right_out"]),
                 int(obj.get("dim", 1)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed port spec: {exc}") from exc
 
 
@@ -183,13 +183,13 @@ class ScatteringMatrix:
         return {"spec": self.spec.to_json(), "matrix": matrix_to_json(self.matrix)}
 
     @classmethod
-    def from_json(cls, obj: dict, check: bool = True) -> "ScatteringMatrix":
+    def from_json(cls, obj: dict) -> "ScatteringMatrix":
         try:
             spec = PortSpec.from_json(obj["spec"])
             matrix = matrix_from_json(obj["matrix"])
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed scattering matrix: {exc}") from exc
-        return cls(matrix, spec, check=check)
+        return cls(matrix, spec)
 
     def __repr__(self):
         return f"ScatteringMatrix(spec={self.spec})"

@@ -28,6 +28,23 @@ def small_sweep(tmp_path, **overrides):
     return str(path)
 
 
+def pair_graph(s1, s2):
+    """A graph-contract scenario: two 1x1-port vertices wired in a loop."""
+    return {
+        "kind": "graph-contract",
+        "name": "pair",
+        "graph": {
+            "vertices": [
+                {"id": 1, "smatrix": s1.to_json()},
+                {"id": 2, "smatrix": s2.to_json()},
+            ],
+            "edges": [[[1, 1], [2, 0]], [[2, 0], [1, 1]]],
+            "dangling_in": [[1, 0], [2, 1]],
+            "dangling_out": [[1, 0], [2, 1]],
+        },
+    }
+
+
 class TestRun:
     def test_star_demo(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "run", scenario_path("star_demo.json")])
@@ -49,21 +66,8 @@ class TestRun:
     def test_graph_contract(self, tmp_path):
         rng = np.random.default_rng(0)
         s = random_smatrix(rng, 1, 1)
-        sc = {
-            "kind": "graph-contract",
-            "name": "pair",
-            "graph": {
-                "vertices": [
-                    {"id": 1, "smatrix": s.to_json()},
-                    {"id": 2, "smatrix": s.to_json()},
-                ],
-                "edges": [[[1, 1], [2, 0]], [[2, 0], [1, 1]]],
-                "dangling_in": [[1, 0], [2, 1]],
-                "dangling_out": [[1, 0], [2, 1]],
-            },
-        }
         path = tmp_path / "graph.json"
-        path.write_text(json.dumps(sc))
+        path.write_text(json.dumps(pair_graph(s, s)))
         rc = cli.main(["--out", str(tmp_path), "run", str(path)])
         assert rc == 0
         assert (tmp_path / "pair_global.json").exists()
@@ -113,20 +117,7 @@ class TestRun:
 
     def test_corrupted_vertex_after_same_topology_exits_3(self, tmp_path):
         rng = np.random.default_rng(3)
-        s1, s2 = random_smatrix(rng, 1, 1), random_smatrix(rng, 1, 1)
-        sc = {
-            "kind": "graph-contract",
-            "name": "pair",
-            "graph": {
-                "vertices": [
-                    {"id": 1, "smatrix": s1.to_json()},
-                    {"id": 2, "smatrix": s2.to_json()},
-                ],
-                "edges": [[[1, 1], [2, 0]], [[2, 0], [1, 1]]],
-                "dangling_in": [[1, 0], [2, 1]],
-                "dangling_out": [[1, 0], [2, 1]],
-            },
-        }
+        sc = pair_graph(random_smatrix(rng, 1, 1), random_smatrix(rng, 1, 1))
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(sc))
         assert cli.main(["--out", str(tmp_path), "run", str(path)]) == 0
@@ -202,6 +193,46 @@ class TestScenarioBoundary:
         assert cli.main(["--out", str(out), "run", path]) == 2
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["sweep.json"]
+
+    @pytest.mark.parametrize("kind, keys, value", [
+        ("graph", ("graph", "vertices", 0, "id"), "abc"),
+        ("graph", ("graph", "vertices", 0, "smatrix", "spec", "left_in"), "one"),
+        ("graph", ("graph", "vertices", 0, "smatrix", "matrix", "data", 0), [0, 0, 0]),
+        ("graph", ("graph", "edges", 0), [[1, 1], [2, 0], [2, 1]]),
+        ("star", ("s1", "matrix", "data", 0), [0, 0, 0]),
+        ("star", ("s1", "matrix", "data", 0), ["a", 0]),
+        ("star", ("wiring",), {"s1_to_s2": [["x", 0]], "s2_to_s1": [[0, 0]]}),
+        ("star", ("wiring",), {"s1_to_s2": [[float("inf"), 0]], "s2_to_s1": [[0, 0]]}),
+    ], ids=["vertex-id", "spec-count", "graph-entry", "three-port-edge", "star-entry",
+            "star-entry-str", "wiring-slot", "wiring-slot-inf"])
+    def test_malformed_json_exits_2(self, tmp_path, capsys, kind, keys, value):
+        if kind == "graph":
+            rng = np.random.default_rng(0)
+            sc = pair_graph(random_smatrix(rng, 1, 1), random_smatrix(rng, 1, 1))
+        else:
+            sc = json.loads((SCENARIOS / "star_demo.json").read_text())
+        target = sc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(sc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_star_file_exits_2(self, tmp_path, capsys):
+        s = random_smatrix(np.random.default_rng(1), 1, 1).to_json()
+        a, b, w = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "w.json"
+        a.write_text(json.dumps(s))
+        s["matrix"]["data"][0] = [0, 0, 0]
+        b.write_text(json.dumps(s))
+        w.write_text(json.dumps({"s1_to_s2": [[0, 0]], "s2_to_s1": [[0, 0]]}))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "star", str(a), str(b), str(w)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_markup_in_name_is_escaped(self, tmp_path):
         name = "a&b<c"

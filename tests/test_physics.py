@@ -15,6 +15,7 @@ from scatchan.physics import (
     barrier_coefficients,
     barrier_lines,
     barrier_smatrix,
+    closed_form_amplitudes,
     closed_form_m,
     energy_sweep,
     loss_smatrix,
@@ -190,6 +191,17 @@ class TestClosedForms:
             p = BarrierParams(et, eps, HALF_WIDTH_REF, SEPARATION_REF, eta)
             assert max_abs(pipeline_m(p, False) - closed_form_m(p, False)) < 1e-9
             assert max_abs(pipeline_m(p, True) - closed_form_m(p, True)) < 1e-9
+
+    def test_returns_the_pipelines_diagonals(self):
+        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        energies = np.linspace(0.005, 2.0, 50)
+        closed = closed_form_amplitudes(base, energies)
+        piped = pipeline_amplitudes(base, energies)
+        assert closed.keys() == piped.keys()
+        p = BarrierParams(float(energies[7]), 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        for cfg, double in (("single", False), ("double", True)):
+            assert closed[cfg].shape == np.diagonal(piped[cfg], axis1=-2, axis2=-1).shape
+            assert np.array_equal(closed_form_m(p, double), np.diag(closed[cfg][7]))
 
     def test_lossless_resonance_peak(self):
         energies = np.linspace(0.01, 0.99, 30000)
@@ -496,3 +508,29 @@ class TestLoudFailures:
         scenario = str(files("scatchan") / "scenarios" / "fig2_eps0.json")
         assert cli.main(["verify", scenario]) == 3
         assert "FAIL: residual nan" in capsys.readouterr().err
+
+    def test_pipeline_gap_keeps_one_nan_entry(self):
+        base = BarrierParams(0.5, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        energies = np.linspace(0.1, 0.9, 5)
+        closed = closed_form_amplitudes(base, energies)
+        closed["single"][2, 1] = np.nan
+        gap = physics.pipeline_gap(base, energies, closed)
+        assert np.isnan(gap[2])
+        assert np.all(np.delete(gap, 2) <= PIPELINE_MATCH_TOL)
+
+    def test_spin_mixing_in_one_line_fails_the_gates(self, monkeypatch, capsys):
+        # The pipeline equals the closed form except for one off-diagonal
+        # entry of the double line.
+        def mixing_pipeline(base, energies):
+            piped = {cfg: a[..., None] * np.eye(2)
+                     for cfg, a in closed_form_amplitudes(base, energies).items()}
+            piped["double"][:, 0, 1] += 1e-6
+            return piped
+
+        monkeypatch.setattr(physics, "pipeline_amplitudes", mixing_pipeline)
+        base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        with pytest.raises(InternalConsistencyError, match="mismatch 1.000e-06"):
+            energy_sweep(base, np.linspace(0.1, 0.9, 5), cross_check_every=1)
+        scenario = str(files("scatchan") / "scenarios" / "fig2_eps0.json")
+        assert cli.main(["verify", scenario]) == 3
+        assert "FAIL: residual 1.000e-06" in capsys.readouterr().err
