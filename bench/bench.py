@@ -13,7 +13,10 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
 * ``run_peak_rss_mb``: the peak resident set of that ``run`` child, read as
   ``ru_maxrss`` of its children by a wrapper process that starts it (the
   smallest of the repeats);
-* ``import_s``: ``python -c "import scatchan"`` as a child process;
+* ``import_s``: ``python -c "import scatchan"`` as a child process, and
+  beside it ``python_startup_s`` (``python -c pass``) and ``numpy_import_s``
+  (``python -c "import numpy"``), which tell the interpreter's and numpy's
+  share of every child-process row;
 * ``crosscheck_full_peak_rss_mb``: the ``ru_maxrss`` of a child process that
   runs only the ``cross_check_every=1`` sweep of the scenario's 20k grid,
   once (the smallest of the repeats);
@@ -23,7 +26,18 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
   grid point recomputed through the graph pipeline;
 * ``to_csv_s``: ``SweepTable.to_csv`` of that sweep;
 * ``svg_line_plot_s``: one ``cli.svg_line_plot`` of its four transmission
-  curves with the superactivation bands.
+  curves with the superactivation bands;
+* ``pipeline_200_s``: ``physics.pipeline_amplitudes`` on 200 sorted seeded
+  energies in (0.005, 2.0], with a fresh base (epsilon and eta in [0, 0.2],
+  half width and separation within 10% of the scenario's) for each call, as
+  one ``crosscheck_dense`` op of ``perfbench`` contracts them, in a child
+  process that runs nothing else: ``PIPELINE_CALLS`` timed calls after as
+  many warm-up calls, one child per tree in each alternating round; the
+  best call of all rounds;
+* ``pipeline_200_minflt``: the median ``ru_minflt`` (minor page faults) per
+  call of those children (the median of their medians), which counts the
+  pages the allocator hands back to the kernel and takes again between
+  calls.
 
 The file also records the machine (nproc, Python and numpy versions), each
 tree's git commit and ``src_lines`` (the total ``wc -l`` of its
@@ -48,8 +62,16 @@ import numpy as np
 
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
 REPEATS = 7
-ROWS = ("run_s", "verify_s", "import_s", "run_peak_rss_mb", "energy_sweep_s",
-        "crosscheck_full_s", "crosscheck_full_peak_rss_mb", "to_csv_s", "svg_line_plot_s")
+PIPELINE_CALLS = 50
+CHILD_ROWS = {  # child-process wall-time rows and the arguments of their child
+    "python_startup_s": ("-c", "pass"),
+    "numpy_import_s": ("-c", "import numpy"),
+    "import_s": ("-c", "import scatchan"),
+}
+ROWS = ("run_s", "verify_s", "import_s", "python_startup_s", "numpy_import_s",
+        "run_peak_rss_mb", "energy_sweep_s", "crosscheck_full_s",
+        "crosscheck_full_peak_rss_mb", "to_csv_s", "svg_line_plot_s",
+        "pipeline_200_s", "pipeline_200_minflt")
 # Runs argv[1:] as its one child and prints that child's ru_maxrss (KiB on Linux).
 RSS_WRAPPER = ("import resource, subprocess, sys; "
                "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
@@ -60,6 +82,9 @@ CROSSCHECK_RSS = ("import resource, sys; from scatchan import cli, physics; "
                   "base, grid = cli._sweep_inputs(cli.load_scenario(sys.argv[1]))[:2]; "
                   "physics.energy_sweep(base, grid, cross_check_every=1); "
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+# Prints the pipeline rows of one child (argv[1] is this script's directory).
+PIPELINE_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
+                  "print(json.dumps(bench.pipeline_rows()))")
 
 
 def best_of(fn) -> float:
@@ -72,12 +97,48 @@ def best_of(fn) -> float:
     return min(times)
 
 
+def _scenario_inputs():
+    from scatchan import cli, physics
+
+    scenario = Path(physics.__file__).parent / "scenarios" / "fig2_eps0.json"
+    return cli._sweep_inputs(cli.load_scenario(str(scenario)))[:2]
+
+
+def pipeline_rows() -> dict:
+    """``pipeline_200_s`` and ``pipeline_200_minflt``; runs in a child of its
+    own, since the allocator keeps freed pages once it has served larger
+    arrays (the 2048-energy chunks of ``crosscheck_full_s``), so the
+    fault count depends on what the process ran before."""
+    import resource
+
+    from scatchan import physics
+
+    base, rng = _scenario_inputs()[0], np.random.default_rng(11)
+
+    def call():
+        fresh = physics.BarrierParams(
+            1.0, epsilon=rng.uniform(0.0, 0.2), eta=rng.uniform(0.0, 0.2),
+            half_width=base.half_width * rng.uniform(0.9, 1.1),
+            separation=base.separation * rng.uniform(0.9, 1.1))
+        energies = np.sort(2.0 - rng.uniform(0.0, 1.995, 200))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        physics.pipeline_amplitudes(fresh, energies)
+        elapsed = time.perf_counter() - start
+        return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+    for _ in range(PIPELINE_CALLS):
+        call()
+    times, faults = zip(*(call() for _ in range(PIPELINE_CALLS)))
+    return {"pipeline_200_s": min(times), "pipeline_200_minflt": float(np.median(faults))}
+
+
+
 def layer_times() -> dict:
     """In-process rows; runs in a child whose ``sys.path`` holds one tree."""
     from scatchan import cli, physics
 
-    scenario = Path(physics.__file__).parent / "scenarios" / "fig2_eps0.json"
-    base, grid = cli._sweep_inputs(cli.load_scenario(str(scenario)))[:2]
+    base, grid = _scenario_inputs()
     table = physics.energy_sweep(base, grid)
     curves = [(c, getattr(table, c))
               for c in ("p_up_double", "p_dn_double", "p_up_single", "p_dn_single")]
@@ -117,8 +178,9 @@ def _artifacts(out_dir: Path) -> dict:
 def measure(trees: dict) -> dict:
     results = {label: {"commit": _commit(src), "src_lines": _src_lines(src)}
                for label, src in trees.items()}
-    samples = {label: {row: [] for row in ("run_s", "verify_s", "import_s", "run_peak_rss_mb",
-                                           "crosscheck_full_peak_rss_mb")}
+    samples = {label: {row: [] for row in ("run_s", "verify_s", *CHILD_ROWS, "run_peak_rss_mb",
+                                           "crosscheck_full_peak_rss_mb", "pipeline_200_s",
+                                           "pipeline_200_minflt")}
                for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(REPEATS):
@@ -130,7 +192,7 @@ def measure(trees: dict) -> dict:
                     ("run_s", ("-m", "scatchan.cli", "--threads", "1", "--out", str(out),
                                "run", scenario)),
                     ("verify_s", ("-m", "scatchan.cli", "verify", scenario)),
-                    ("import_s", ("-c", "import scatchan")),
+                    *CHILD_ROWS.items(),
                 ):
                     start = time.perf_counter()
                     _child(src, *args)
@@ -140,10 +202,14 @@ def measure(trees: dict) -> dict:
                 samples[label]["run_peak_rss_mb"].append(int(wrapped.stdout) / 1024)
                 swept = _child(src, "-c", CROSSCHECK_RSS, scenario)
                 samples[label]["crosscheck_full_peak_rss_mb"].append(int(swept.stdout) / 1024)
+                piped = json.loads(_child(src, "-c", PIPELINE_CHILD, str(Path(__file__).parent)).stdout)
+                for row, value in piped.items():
+                    samples[label][row].append(value)
         for label in trees:
             results[label]["artifacts"] = _artifacts(Path(tmp) / label)
     for label, src in trees.items():
         results[label].update({row: min(v) for row, v in samples[label].items()})
+        results[label]["pipeline_200_minflt"] = float(np.median(samples[label]["pipeline_200_minflt"]))
         code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
                 "print(json.dumps(bench.layer_times()))")
         done = _child(src, "-c", code, str(Path(__file__).parent))
@@ -176,7 +242,8 @@ def main(argv=None) -> int:
     base_label = next(iter(trees_out))
     record["ratio_base"] = base_label
     record["ratios"] = {
-        label: {row: round(res[row] / trees_out[base_label][row], 4) for row in ROWS}
+        label: {row: round(res[row] / trees_out[base_label][row], 4)
+                if trees_out[base_label][row] else None for row in ROWS}
         for label, res in trees_out.items() if label != base_label
     }
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

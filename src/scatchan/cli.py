@@ -24,7 +24,7 @@ import numpy as np
 from . import channel, composer, physics
 from .errors import InvalidInputError, ScatchanError
 from .graph import QuantumGraph, contract
-from .numerics import max_abs, operator_norm
+from .numerics import max_abs, operator_norm, whole_number
 from .smatrix import ScatteringMatrix, unitarity_defect
 
 VERIFY_TOL = 1e-9
@@ -172,23 +172,14 @@ def load_scenario(path: str) -> dict:
     return obj
 
 
-def _count(value, name: str, least: int, most: float = float("inf")) -> int:
-    """A whole-number field (not a bool) in [``least``, ``most``]."""
-    n = float(value)
-    if isinstance(value, bool) or not n.is_integer() or not least <= n <= most:
-        raise InvalidInputError(
-            f"{name} must be a whole number in [{least}, {most}], got {value!r}")
-    return int(n)
-
-
 def _sweep_inputs(sc: dict):
     """The arguments (base, grid, cross_check_every) of :func:`physics.energy_sweep`."""
     try:
         grid = sc.get("grid", {})
         start = float(grid.get("start", 0.005))
         stop = float(grid.get("stop", 2.0))
-        points = _count(grid.get("points", 20000), "grid points", 2, MAX_GRID_POINTS)
-        every = _count(sc.get("cross_check_every", 100), "cross_check_every", 0)
+        points = whole_number(grid.get("points", 20000), "grid points", 2, MAX_GRID_POINTS)
+        every = whole_number(sc.get("cross_check_every", 100), "cross_check_every")
         params = {key: float(sc[key]) for key in ("half_width", "separation")}
         params.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:

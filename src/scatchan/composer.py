@@ -23,7 +23,11 @@ only on the rows whose loop is singular.  A gate on a stack measures its
 worst row, so one bad row fails the whole stack.
 
 :func:`star` gates every result on unitarity and measures its inputs only
-when that gate fails, so a successful call makes one measurement.
+when that gate fails, so a successful call makes one measurement.  Results
+are C-ordered stacks, as are the operands graph contraction passes in (or
+broadcasts of one C-ordered matrix), and the assembly adds its round trips
+in one contiguous pass; the barrier scatterers of :mod:`scatchan.physics`
+are gated on their amplitudes before they are stacked.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     InvalidInputError,
     SeriesDivergentError,
 )
-from .numerics import DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse
+from .numerics import DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse, whole_number
 from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
 
 KERNEL_SV_TOL = 1e-10
@@ -68,11 +72,12 @@ class Wiring:
     @classmethod
     def from_json(cls, obj: dict) -> "Wiring":
         try:
-            return cls(
-                tuple((int(a), int(b)) for a, b in obj["s1_to_s2"]),
-                tuple((int(a), int(b)) for a, b in obj["s2_to_s1"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(*(
+                tuple((whole_number(a, "wiring slot"), whole_number(b, "wiring slot"))
+                      for a, b in obj[key])
+                for key in ("s1_to_s2", "s2_to_s1")
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed wiring: {exc}") from exc
 
 
@@ -153,10 +158,15 @@ def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray,
     # feed what one amplitude there contributes to the outer outputs.
     drive = np.concatenate((prod[..., :lo2, :li1], m2[..., :lo2, li2:]), axis=-1)
     feed = np.concatenate((m1[..., :lo1, li1:], prod[..., lo2:, li1:]), axis=-2)
-    matrix = feed @ (linv @ drive)
-    matrix[..., :lo1, :li1] += m1[..., :lo1, :li1]
-    matrix[..., lo1:, :li1] += prod[..., lo2:, :li1]
-    matrix[..., lo1:, li1:] += m2[..., lo2:, li2:]
+    # The direct part is copied block by block and the round trips are added
+    # in one contiguous pass: an in-place add on a strided block makes numpy
+    # allocate an iteration buffer for each operand.
+    matrix = np.empty(prod.shape[:-2] + (spec.out_dim, spec.in_dim), dtype=complex)
+    matrix[..., :lo1, :li1] = m1[..., :lo1, :li1]
+    matrix[..., :lo1, li1:] = 0.0
+    matrix[..., lo1:, :li1] = prod[..., lo2:, :li1]
+    matrix[..., lo1:, li1:] = m2[..., lo2:, li2:]
+    matrix += feed @ (linv @ drive)
     return ScatteringMatrix._trusted(matrix, spec)
 
 

@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .composer import star
 from .errors import InvalidInputError
+from .numerics import whole_number
 from .smatrix import PortSpec, ScatteringMatrix, slot_permutation_index
 
 Port = tuple[int, int]  # (vertex id, flat slot index)
@@ -49,15 +52,22 @@ class QuantumGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuantumGraph":
+        def vertex_id(v):
+            return whole_number(v, "vertex id", -np.inf)
+
+        def port(p):
+            vid, slot = p
+            return vertex_id(vid), whole_number(slot, "slot")
+
         try:
             vertices = [
-                (int(v["id"]), ScatteringMatrix.from_json(v["smatrix"]))
+                (vertex_id(v["id"]), ScatteringMatrix.from_json(v["smatrix"]))
                 for v in obj["vertices"]
             ]
-            edges = [ (tuple(a), tuple(b)) for a, b in obj["edges"] ]
-            din = [tuple(p) for p in obj["dangling_in"]]
-            dout = [tuple(p) for p in obj["dangling_out"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            edges = [(port(a), port(b)) for a, b in obj["edges"]]
+            din = [port(p) for p in obj["dangling_in"]]
+            dout = [port(p) for p in obj["dangling_out"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed graph: {exc}") from exc
         return cls.build(vertices, edges, din, dout)
 
@@ -147,9 +157,9 @@ class _Step:
     left: int
     right: int
     keep: int
-    a_index: tuple
+    a_index: np.ndarray | None
     a_spec: PortSpec
-    b_index: tuple
+    b_index: np.ndarray | None
     b_spec: PortSpec
 
 
@@ -160,7 +170,7 @@ class _Plan:
 
     steps: tuple
     root: int
-    final_index: tuple
+    final_index: np.ndarray | None
     final_spec: PortSpec
 
 

@@ -9,6 +9,8 @@ axes, decomposed row by row.  The JSON literal form used across the repo is
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -81,6 +83,20 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(m)))
 
 
+def whole_number(value, name: str, least: float = 0, most: float = math.inf) -> int:
+    """A whole-number field of a JSON document (not a bool) in [``least``,
+    ``most``]: the one parser of counts, ids and slots, so that 1.7 or
+    ``true`` is rejected rather than truncated."""
+    try:
+        n = float(value)
+    except (TypeError, ValueError, OverflowError):
+        n = math.nan
+    if isinstance(value, bool) or not n.is_integer() or not least <= n <= most:
+        raise InvalidInputError(
+            f"{name} must be a whole number in [{least}, {most}], got {value!r}")
+    return int(value) if isinstance(value, int) else int(n)
+
+
 def matrix_to_json(a) -> dict:
     """Serialize to the repo-wide matrix literal."""
     m = as_single_matrix(a)
@@ -91,7 +107,8 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the repo-wide matrix literal."""
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = (whole_number(obj["rows"], "rows"),
+                            whole_number(obj["cols"], "cols"), obj["data"])
         entries = [complex(re, im) for re, im in data]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed matrix literal: {exc}") from exc

@@ -31,9 +31,10 @@ import numpy as np
 
 from .capacity import PROB_CLAMP_TOL, CapacityBounds, detect_superactivation
 from .channel import transmission_operator
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, NonUnitaryError
 from .graph import QuantumGraph, contract
-from .smatrix import PortSpec, ScatteringMatrix
+from .numerics import max_abs
+from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix
 
 PIPELINE_MATCH_TOL = 1e-9
 PIPELINE_CHUNK = 2048  # energies per contraction in pipeline_amplitudes
@@ -100,30 +101,44 @@ def barrier_coefficients(energy_ratio, height, half_width):
 def barrier_smatrix(base: BarrierParams, energies) -> ScatteringMatrix:
     """The 4x4 spin-resolved barrier scatterer (d=2, one slot per side) of
     ``base``'s epsilon and half width at each energy: one matrix for a
-    scalar, a stack for a 1-D grid."""
+    scalar, a stack for a 1-D grid.  The unitarity gate runs on the
+    amplitudes: S^dag S - 1 has the entries |r|^2 + |t|^2 - 1 and
+    2 Re(conj(r) t) for each spin."""
     energies = np.asarray(energies, dtype=float)
     refl, trans = barrier_coefficients(
         energies[..., None], np.array([1.0 + base.epsilon, 1.0 - base.epsilon]),
         base.half_width,
     )
-    # [[R, T], [T, R]] with R = diag(r_up, r_dn) and T = diag(t_up, t_dn)
-    matrix = np.zeros(energies.shape + (4, 4), dtype=complex)
-    i = np.arange(4)
-    matrix[..., i, i] = np.concatenate((refl, refl), axis=-1)
-    matrix[..., i, (i + 2) % 4] = np.concatenate((trans, trans), axis=-1)
-    return ScatteringMatrix(matrix, PortSpec(1, 1, 1, 1, 2))
+    if not (np.all(np.isfinite(refl)) and np.all(np.isfinite(trans))):
+        raise InvalidInputError("barrier amplitudes contain NaN or Inf entries")
+    defect = max_abs(np.stack((np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0,
+                               2.0 * (refl.conj() * trans).real)))
+    if not defect <= UNITARITY_TOL:
+        raise NonUnitaryError(
+            f"max |S^dag S - 1| = {defect:.3e} exceeds {UNITARITY_TOL:.0e}")
+    # [[R, T], [T, R]] with R = diag(r_up, r_dn) and T = diag(t_up, t_dn):
+    # row-major entries 0, 5 and 10, 15 hold R, entries 2, 7 and 8, 13 hold T
+    matrix = np.zeros(energies.shape + (16,), dtype=complex)
+    matrix[..., 0:10:5] = matrix[..., 10::5] = refl
+    matrix[..., 2:8:5] = matrix[..., 8:14:5] = trans
+    return ScatteringMatrix._trusted(matrix.reshape(energies.shape + (4, 4)),
+                                     PortSpec(1, 1, 1, 1, 2))
 
 
 def translated_barrier(s1: ScatteringMatrix, separation: float, energies) -> ScatteringMatrix:
     """Second barrier: the first one shifted by the separation w, which
     multiplies the reflection blocks by exp(+-i phi) with phi = 2 k w, at
-    each energy of ``s1``'s stack."""
+    each energy of ``s1``'s stack.  The result is D S1 D with the unitary
+    D = diag(exp(i phi/2), exp(-i phi/2)), so it stays unitary and only the
+    phases are checked."""
     phi = (2.0 * np.sqrt(np.asarray(energies, dtype=float)) * separation)[..., None, None]
+    if not np.all(np.isfinite(phi)):
+        raise InvalidInputError("translation phase contains NaN or Inf entries")
     d = s1.spec.dim
     matrix = np.array(s1.matrix)
     matrix[..., :d, :d] *= np.exp(1j * phi)
     matrix[..., d:, d:] *= np.exp(-1j * phi)
-    return ScatteringMatrix(matrix, s1.spec)
+    return ScatteringMatrix._trusted(matrix, s1.spec)
 
 
 @lru_cache(maxsize=32)

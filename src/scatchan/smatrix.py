@@ -6,7 +6,10 @@ amplitudes.  In-slots index columns, out-slots index rows.
 
 A ``ScatteringMatrix`` holds one matrix or a stack of matrices along leading
 axes (one per energy of a sweep, say), all under one port partition; block
-access and reindexing act on the last two axes.  Transfer matrices stay 2-D.
+access and reindexing act on the last two axes.  Stacks are C-ordered (the
+matrix axes innermost): reindexing gathers into that layout in one
+``np.take``, and a relabelling that moves no slot shares the array.  The
+unitarity gate makes one Gram temporary.  Transfer matrices stay 2-D.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConversionUnavailableError, InvalidInputError, NonUnitaryError
-from .numerics import as_matrix, matrix_from_json, matrix_to_json, max_abs
+from .numerics import as_matrix, matrix_from_json, matrix_to_json, max_abs, whole_number
 
 UNITARITY_TOL = 1e-8
 CONDITION_CUTOFF = 1e8
@@ -77,22 +80,21 @@ class PortSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "PortSpec":
         try:
-            return cls(
-                int(obj["left_in"]),
-                int(obj["left_out"]),
-                int(obj["right_in"]),
-                int(obj["right_out"]),
-                int(obj.get("dim", 1)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            counts = [whole_number(obj[key], key)
+                      for key in ("left_in", "left_out", "right_in", "right_out")]
+            return cls(*counts, whole_number(obj.get("dim", 1), "dim", 1))
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed port spec: {exc}") from exc
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Entrywise max-norm of S^dag S - 1 (square matrices only); of a
-    stack, that of its worst row."""
+    stack, that of its worst row.  One Gram temporary, 1 taken off its
+    diagonal in place."""
     m = np.asarray(matrix)
-    return max_abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))
+    gram = m.conj().swapaxes(-1, -2) @ m
+    np.einsum("...ii->...i", gram)[...] -= 1
+    return max_abs(gram)
 
 
 class ScatteringMatrix:
@@ -167,8 +169,13 @@ class ScatteringMatrix:
 
     def reindexed(self, index, spec: PortSpec) -> "ScatteringMatrix":
         """Rows/columns picked by a precomputed slot-permutation index
-        (see :func:`slot_permutation_index`), under ``spec``."""
-        return ScatteringMatrix._trusted(self.matrix[index], spec)
+        (see :func:`slot_permutation_index`), under ``spec``: a C-ordered
+        array gathered in one ``np.take``, or for ``None`` the same array
+        relabelled."""
+        m = self.matrix
+        if index is not None:
+            m = m.reshape(m.shape[:-2] + (index.size,)).take(index, axis=-1)
+        return ScatteringMatrix._trusted(m, spec)
 
     def permuted(self, in_slots, out_slots) -> "ScatteringMatrix":
         """Reorder slots; ``in_slots``/``out_slots`` are flat permutations."""
@@ -195,20 +202,24 @@ class ScatteringMatrix:
         return f"ScatteringMatrix(spec={self.spec})"
 
 
-def slot_permutation_index(in_slots, out_slots, dim: int):
-    """Element index ``(Ellipsis, *np.ix_(rows, cols))`` that reorders the
-    slots of a matrix or of every row of a stack: row block i of the result
-    is out-slot ``out_slots[i]``, column block j is in-slot
-    ``in_slots[j]``."""
+def slot_permutation_index(in_slots, out_slots, dim: int) -> np.ndarray | None:
+    """Flat element index that reorders the slots of a matrix or of every
+    row of a stack (``np.take`` on its row-major entries): row block i of
+    the result is out-slot ``out_slots[i]``, column block j is in-slot
+    ``in_slots[j]``.  Both are permutations, so the source has as many
+    columns as the result; ``None`` when neither moves a slot."""
+    in_slots, out_slots = list(in_slots), list(out_slots)
+    if in_slots == sorted(in_slots) and out_slots == sorted(out_slots):
+        return None
 
     def expand(slots):
         slots = np.asarray(slots, dtype=np.intp).reshape(-1, 1)
         return (slots * dim + np.arange(dim)).ravel()
 
-    index = np.ix_(expand(out_slots), expand(in_slots))
-    for part in index:  # compiled contraction plans share these
-        part.flags.writeable = False
-    return (Ellipsis, *index)
+    cols = expand(in_slots)
+    index = expand(out_slots)[:, None] * cols.size + cols
+    index.flags.writeable = False  # compiled contraction plans share it
+    return index
 
 
 @dataclass(frozen=True)

@@ -206,11 +206,37 @@ class TestScenarioBoundary:
     ], ids=["vertex-id", "spec-count", "graph-entry", "three-port-edge", "star-entry",
             "star-entry-str", "wiring-slot", "wiring-slot-inf"])
     def test_malformed_json_exits_2(self, tmp_path, capsys, kind, keys, value):
+        self.assert_edit_exits_2(tmp_path, capsys, kind, keys, value)
+
+    @pytest.mark.parametrize("kind, keys, value", [
+        ("star", ("s1", "spec", "left_in"), 1.7),
+        ("star", ("s1", "spec", "dim"), True),
+        ("star", ("s1", "matrix", "rows"), 2.5),
+        ("star", ("wiring",), {"s1_to_s2": [[0.9, 0]], "s2_to_s1": [[0, 0]]}),
+        ("star", ("wiring",), {"s1_to_s2": [[0, 0]], "s2_to_s1": [[0, False]]}),
+        ("graph", ("graph", "vertices", 1, "id"), 2.5),
+        ("graph", ("graph", "dangling_in", 1, 1), True),
+        ("graph", ("graph", "edges", 0, 0, 1), 1.2),
+        ("sweep", ("grid", "points"), 300.5),
+        ("sweep", ("cross_check_every",), True),
+    ], ids=["spec-count", "spec-dim", "matrix-rows", "wiring-slot", "wiring-slot-bool",
+            "vertex-id", "dangling-slot-bool", "edge-slot", "grid-points",
+            "cross-check-bool"])
+    def test_fractional_or_boolean_count_exits_2(self, tmp_path, capsys, kind, keys, value):
+        # Each parser of counts, ids and slots rejects these; none truncates.
+        self.assert_edit_exits_2(tmp_path, capsys, kind, keys, value)
+
+    @staticmethod
+    def assert_edit_exits_2(tmp_path, capsys, kind, keys, value):
+        """Run a bundled scenario with one field set to ``value``."""
         if kind == "graph":
             rng = np.random.default_rng(0)
             sc = pair_graph(random_smatrix(rng, 1, 1), random_smatrix(rng, 1, 1))
-        else:
+        elif kind == "star":
             sc = json.loads((SCENARIOS / "star_demo.json").read_text())
+        else:
+            sc = json.loads((SCENARIOS / "fig2_eps0.json").read_text())
+            sc["grid"]["points"] = 300
         target = sc
         for key in keys[:-1]:
             target = target[key]

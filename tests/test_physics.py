@@ -7,7 +7,7 @@ import pytest
 
 from scatchan import cli, graph, physics
 from scatchan.capacity import capacity_bounds, detect_superactivation
-from scatchan.errors import InternalConsistencyError, InvalidInputError
+from scatchan.errors import InternalConsistencyError, InvalidInputError, NonUnitaryError
 from scatchan.numerics import max_abs
 from scatchan.physics import (
     PIPELINE_MATCH_TOL,
@@ -24,7 +24,7 @@ from scatchan.physics import (
     translated_barrier,
 )
 from scatchan.graph import contract, validate
-from scatchan.smatrix import PortSpec, unitarity_defect
+from scatchan.smatrix import UNITARITY_TOL, PortSpec, unitarity_defect
 
 HALF_WIDTH_REF = 0.06 * np.sqrt(20)
 SEPARATION_REF = 10 * np.sqrt(20)
@@ -115,6 +115,51 @@ class TestBarrierSmatrix:
         for et in (0.3, 0.9, 1.1, 2.5):
             s = barrier_smatrix(BarrierParams(et, epsilon=0.1, half_width=0.2), et)
             assert unitarity_defect(s.matrix) < 1e-10
+
+
+class TestBarrierGate:
+    """barrier_smatrix gates its amplitudes instead of measuring the stack it
+    fills, and translated_barrier checks only its phases."""
+
+    BASE = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+
+    def patched(self, monkeypatch, edit):
+        original = physics.barrier_coefficients
+        monkeypatch.setattr(physics, "barrier_coefficients",
+                            lambda *args: edit(*original(*args)))
+
+    def test_scaled_transmission_is_non_unitary(self, monkeypatch):
+        self.patched(monkeypatch, lambda r, t: (r, t * (1 + 1e-7)))
+        with pytest.raises(NonUnitaryError):
+            barrier_smatrix(self.BASE, np.linspace(0.5, 2.0, 50))
+
+    def test_dephased_transmission_is_non_unitary(self, monkeypatch):
+        # |t| is kept, so only the cross term 2 Re(conj(r) t) shows the defect.
+        self.patched(monkeypatch, lambda r, t: (r, t * np.exp(1e-3j)))
+        with pytest.raises(NonUnitaryError):
+            barrier_smatrix(self.BASE, np.linspace(0.5, 2.0, 50))
+
+    def test_nan_amplitudes_are_invalid(self, monkeypatch):
+        def poisoned(r, t):
+            r = r.copy()
+            r[3, 1] = np.nan
+            return r, t
+        self.patched(monkeypatch, poisoned)
+        with pytest.raises(InvalidInputError):
+            barrier_smatrix(self.BASE, np.linspace(0.5, 2.0, 50))
+
+    def test_full_measurement_on_the_dense_grid(self):
+        energies = np.linspace(0.005, 2.0, 20000)
+        barrier = barrier_smatrix(self.BASE, energies)
+        assert unitarity_defect(barrier.matrix) <= UNITARITY_TOL
+        shifted = translated_barrier(barrier, self.BASE.separation, energies)
+        assert unitarity_defect(shifted.matrix) <= UNITARITY_TOL
+        assert barrier.matrix.flags.c_contiguous and shifted.matrix.flags.c_contiguous
+
+    def test_non_finite_phase_is_invalid(self):
+        barrier = barrier_smatrix(self.BASE, [0.5, 0.6])
+        with pytest.raises(InvalidInputError):
+            translated_barrier(barrier, np.nan, [0.5, 0.6])
 
 
 class TestTranslatedBarrier:
@@ -311,6 +356,26 @@ class TestPipelineGraphs:
         assert len(shifted) == 1 and shifted[0] is single[1]
         assert single[1].matrix.shape == (7, 4, 4)
         assert double[1] is lines["single"]
+
+    def test_merges_take_the_vertex_stacks_uncopied(self, monkeypatch):
+        # The plans of both lines keep every slot where it is, so each merge
+        # works on the vertex arrays themselves, and the lines come out
+        # C-ordered.
+        operands = []
+        original = graph.star
+
+        def recorded(s2, s1, *args):
+            operands.append((s2.matrix, s1.matrix))
+            return original(s2, s1, *args)
+
+        monkeypatch.setattr(graph, "star", recorded)
+        graphs = self.contracted_graphs(monkeypatch)
+        lines = barrier_lines(self.BASE, np.linspace(0.1, 0.9, 7))
+        assert len(graphs) == len(operands) == 2
+        for g, (s2, s1) in zip(graphs, operands):
+            vertices = dict(g.vertices)
+            assert s1 is vertices[1].matrix and s2 is vertices[2].matrix
+        assert all(s.matrix.flags.c_contiguous for s in lines.values())
 
     def test_double_line_is_the_three_vertex_contraction(self):
         # The double line contracted from scratch (barrier, loss scatterer,

@@ -100,6 +100,59 @@ class TestBlocks:
         assert max_abs(got.slot_block(0, 0) - s.slot_block(2, 3)) == 0.0
 
 
+class TestReindexed:
+    """Reindexing is one gather into a C-ordered array, with the values of
+    the ``np.ix_`` form; an identity relabels without copying."""
+
+    IN_SLOTS, OUT_SLOTS = [3, 1, 0, 2], [2, 0, 3, 1]
+
+    def ix_form(self, m, dim=2):
+        def expand(slots):
+            return np.concatenate([np.arange(p * dim, (p + 1) * dim) for p in slots])
+        return m[(Ellipsis, *np.ix_(expand(self.OUT_SLOTS), expand(self.IN_SLOTS)))]
+
+    @pytest.mark.parametrize("case", ["matrix", "stack", "broadcast stack"])
+    def test_c_ordered_and_equal_to_ix_form(self, case):
+        rng = np.random.default_rng(6)
+        one = random_smatrix(rng, 2, 2)
+        s = {
+            "matrix": one,
+            "stack": ScatteringMatrix._trusted(
+                np.stack([random_smatrix(rng, 2, 2).matrix for _ in range(5)]), one.spec),
+            "broadcast stack": one.broadcast_to((3, 5)),
+        }[case]
+        index = slot_permutation_index(self.IN_SLOTS, self.OUT_SLOTS, 2)
+        got = s.reindexed(index, s.spec).matrix
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, self.ix_form(s.matrix))
+
+    def test_identity_relabels_without_a_copy(self):
+        s = random_smatrix(np.random.default_rng(7), 2, 1).broadcast_to((4,))
+        assert slot_permutation_index(range(4), range(4), 1) is None
+        spec = PortSpec(1, 3, 3, 1, 1)
+        got = s.reindexed(None, spec)
+        assert got.spec == spec and got.matrix is s.matrix
+
+
+class TestUnitarityDefect:
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 3, 3), (2, 5, 8, 8), (3, 1, 2, 2)])
+    def test_bit_identical_to_the_explicit_form(self, shape):
+        rng = np.random.default_rng(8)
+        n = shape[-1]
+        m = rng.standard_normal(shape[:-2] + (n, n)) + 1j * rng.standard_normal(shape[:-2] + (n, n))
+        explicit = max_abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))
+        assert unitarity_defect(m) == explicit
+        u = np.stack([random_unitary(rng, n) for _ in range(3)])
+        assert unitarity_defect(u) == max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(n))
+
+    def test_nan_row_gives_nan(self):
+        rng = np.random.default_rng(9)
+        u = np.stack([random_unitary(rng, 4) for _ in range(3)])
+        u[1, 2, 0] = np.nan
+        assert np.isnan(unitarity_defect(u))
+        assert unitarity_defect(u[[0, 2]]) < 1e-14
+
+
 class TestConversion:
     def test_swap_to_transfer_is_identity(self):
         t = s_to_t(ScatteringMatrix(SWAP, SPEC11))
