@@ -15,8 +15,10 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
   smallest of the repeats);
 * ``import_s``: ``python -c "import scatchan"`` as a child process, and
   beside it ``python_startup_s`` (``python -c pass``) and ``numpy_import_s``
-  (``python -c "import numpy"``), which tell the interpreter's and numpy's
-  share of every child-process row;
+  (``python -c "import numpy"``, with numpy's default BLAS threads), which
+  tell the interpreter's and numpy's share of every child-process row;
+* ``cli_import_s``: ``python -c "import scatchan.cli"``, the import every
+  CLI process pays (numpy included, with the CLI's BLAS thread setting);
 * ``crosscheck_full_peak_rss_mb``: the ``ru_maxrss`` of a child process that
   runs only the ``cross_check_every=1`` sweep of the scenario's 20k grid,
   once (the smallest of the repeats);
@@ -67,8 +69,9 @@ CHILD_ROWS = {  # child-process wall-time rows and the arguments of their child
     "python_startup_s": ("-c", "pass"),
     "numpy_import_s": ("-c", "import numpy"),
     "import_s": ("-c", "import scatchan"),
+    "cli_import_s": ("-c", "import scatchan.cli"),
 }
-ROWS = ("run_s", "verify_s", "import_s", "python_startup_s", "numpy_import_s",
+ROWS = ("run_s", "verify_s", "import_s", "cli_import_s", "python_startup_s", "numpy_import_s",
         "run_peak_rss_mb", "energy_sweep_s", "crosscheck_full_s",
         "crosscheck_full_peak_rss_mb", "to_csv_s", "svg_line_plot_s",
         "pipeline_200_s", "pipeline_200_minflt")

@@ -3,93 +3,73 @@
 Compose local scattering matrices of a quantum graph into the global one
 via the Redheffer star product, derive the port-to-port state-dependent
 erasure channel, and bound its quantum capacity.
+
+The exported names resolve lazily, on first access, from the modules that
+define them: ``import scatchan`` itself loads neither numpy nor any
+submodule, so a process (the CLI, say) can configure numpy before it loads.
 """
 
-from .capacity import (
-    CapacityBounds,
-    capacity_bounds,
-    check_data_processing,
-    detect_superactivation,
-    erasure_capacity,
-    singular_probabilities,
-)
-from .channel import ErasureChannel, transmission_operator
-from .composer import (
-    Wiring,
-    kernel_decoupling_check,
-    loop_matrix,
-    pad_to_homogeneous,
-    star,
-    star_via_padding,
-    star_via_series,
-)
-from .errors import (
-    ConversionUnavailableError,
-    DecouplingViolationError,
-    InternalConsistencyError,
-    InvalidInputError,
-    NonUnitaryError,
-    ScatchanError,
-    SeriesDivergentError,
-)
-from .graph import QuantumGraph, contract, validate
-from .physics import (
-    BarrierParams,
-    barrier_smatrix,
-    closed_form_amplitudes,
-    closed_form_m,
-    energy_sweep,
-    loss_smatrix,
-    pipeline_amplitudes,
-    translated_barrier,
-)
-from .smatrix import (
-    PortSpec,
-    ScatteringMatrix,
-    TransferMatrix,
-    s_to_t,
-    t_to_s,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarrierParams",
-    "CapacityBounds",
-    "ConversionUnavailableError",
-    "DecouplingViolationError",
-    "ErasureChannel",
-    "InternalConsistencyError",
-    "InvalidInputError",
-    "NonUnitaryError",
-    "PortSpec",
-    "QuantumGraph",
-    "ScatchanError",
-    "ScatteringMatrix",
-    "SeriesDivergentError",
-    "TransferMatrix",
-    "Wiring",
-    "barrier_smatrix",
-    "capacity_bounds",
-    "check_data_processing",
-    "closed_form_amplitudes",
-    "closed_form_m",
-    "contract",
-    "detect_superactivation",
-    "energy_sweep",
-    "erasure_capacity",
-    "kernel_decoupling_check",
-    "loop_matrix",
-    "loss_smatrix",
-    "pad_to_homogeneous",
-    "pipeline_amplitudes",
-    "s_to_t",
-    "singular_probabilities",
-    "star",
-    "star_via_padding",
-    "star_via_series",
-    "t_to_s",
-    "transmission_operator",
-    "translated_barrier",
-    "validate",
-]
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "BarrierParams": "physics",
+    "CapacityBounds": "capacity",
+    "ConversionUnavailableError": "errors",
+    "DecouplingViolationError": "errors",
+    "ErasureChannel": "channel",
+    "InternalConsistencyError": "errors",
+    "InvalidInputError": "errors",
+    "NonUnitaryError": "errors",
+    "PortSpec": "smatrix",
+    "QuantumGraph": "graph",
+    "ScatchanError": "errors",
+    "ScatteringMatrix": "smatrix",
+    "SeriesDivergentError": "errors",
+    "TransferMatrix": "smatrix",
+    "Wiring": "composer",
+    "barrier_smatrix": "physics",
+    "capacity_bounds": "capacity",
+    "check_data_processing": "capacity",
+    "closed_form_amplitudes": "physics",
+    "closed_form_m": "physics",
+    "contract": "graph",
+    "detect_superactivation": "capacity",
+    "energy_sweep": "physics",
+    "erasure_capacity": "capacity",
+    "kernel_decoupling_check": "composer",
+    "loop_matrix": "composer",
+    "loss_smatrix": "physics",
+    "pad_to_homogeneous": "composer",
+    "pipeline_amplitudes": "physics",
+    "s_to_t": "smatrix",
+    "singular_probabilities": "capacity",
+    "star": "composer",
+    "star_via_padding": "composer",
+    "star_via_series": "composer",
+    "t_to_s": "smatrix",
+    "transmission_operator": "channel",
+    "translated_barrier": "physics",
+    "validate": "graph",
+}
+
+__all__ = list(_EXPORTS)
+# The submodules an eager import used to bind as attributes of the package.
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"numerics"}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # binds the attribute too
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -80,14 +80,6 @@ class DataProcessingReport:
     def holds(self) -> bool:
         return self.p_max_composed <= min(self.p_max_first, self.p_max_second) + 1e-12
 
-    def bound(self, d: int) -> tuple[float, float]:
-        """(q_up of the composition, min of the factor q_ups)."""
-        return (
-            erasure_capacity(self.p_max_composed, d),
-            min(erasure_capacity(self.p_max_first, d),
-                erasure_capacity(self.p_max_second, d)),
-        )
-
 
 def check_data_processing(m1, m2, d: int) -> DataProcessingReport:
     """Verify the composed channel is no less noisy than either factor."""

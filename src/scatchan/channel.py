@@ -11,23 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import as_single_matrix, matrix_from_json, matrix_to_json, max_abs
+from .numerics import as_single_matrix
 from .smatrix import ScatteringMatrix
 
 CONTRACTION_TOL = 1e-10
-DENSITY_TOL = 1e-12
-
-
-def is_density(rho, tol: float = DENSITY_TOL) -> bool:
-    """Hermitian, unit trace, and positive semidefinite within tolerance."""
-    m = as_single_matrix(rho)
-    if m.shape[0] != m.shape[1]:
-        return False
-    if max_abs(m - m.conj().T) > tol:
-        return False
-    if abs(np.trace(m) - 1.0) > tol:
-        return False
-    return float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) >= -1e-10
 
 
 def transmission_operator(
@@ -67,19 +54,6 @@ class ErasureChannel:
         m.flags.writeable = False
         self.m_op = m
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "m_op": matrix_to_json(self.m_op)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ErasureChannel":
-        try:
-            ch = cls(matrix_from_json(obj["m_op"]))
-        except KeyError as exc:
-            raise InvalidInputError(f"malformed channel: {exc}") from exc
-        if ch.d != int(obj.get("d", ch.d)):
-            raise InvalidInputError("channel dimension disagrees with m_op shape")
-        return ch
-
     def __repr__(self):
         return f"ErasureChannel(d={self.d})"
 
@@ -114,15 +88,6 @@ def kraus_set(ch: ErasureChannel) -> list[np.ndarray]:
     return ops
 
 
-def apply_via_kraus(ch: ErasureChannel, rho) -> np.ndarray:
-    """Second code path for :func:`apply`; used as its oracle in tests."""
-    r = as_single_matrix(rho)
-    out = np.zeros((ch.d + 1, ch.d + 1), dtype=complex)
-    for k in kraus_set(ch):
-        out += k @ r @ k.conj().T
-    return out
-
-
 def choi(ch: ErasureChannel) -> np.ndarray:
     """Choi matrix (channel tensor identity on the normalized maximally
     entangled projector); output factor first."""
@@ -137,13 +102,6 @@ def choi(ch: ErasureChannel) -> np.ndarray:
             block[d, d] = (1.0 if a == b else 0.0) - np.trace(block[:d, :d])
             j += np.kron(block, e_ab) / d
     return j
-
-
-def choi_partial_trace_out(j: np.ndarray, d: int) -> np.ndarray:
-    """Trace out the (d+1)-dim output factor of a Choi matrix."""
-    j = as_single_matrix(j)
-    t = j.reshape(d + 1, d, d + 1, d)
-    return np.einsum("aiaj->ij", t)
 
 
 def compose(ch2: ErasureChannel, ch1: ErasureChannel) -> ErasureChannel:

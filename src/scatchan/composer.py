@@ -311,10 +311,12 @@ def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix, hop: np.ndarray):
 
 
 def kernel_decoupling_check(
-    s2: ScatteringMatrix, s1: ScatteringMatrix
+    s2: ScatteringMatrix, s1: ScatteringMatrix, wiring: Wiring | None = None
 ) -> KernelDecouplingReport:
     """Verify that loop-kernel modes are invisible from all dangling ports."""
     _validate_pair(s2, s1)
+    if wiring is not None:
+        s2 = _apply_wiring(s2, s1, wiring)
     return _loop_inverse(s2, s1, _interface_product(s2, s1)[1])[1]
 
 

@@ -249,11 +249,13 @@ class SweepTable:
     )
 
     def to_csv(self) -> str:
-        row = ",".join(["%.12e"] * (len(self.CSV_COLUMNS) - 1) + ["%d"])
-        table = np.column_stack([getattr(self, f.name) for f in fields(self)])
-        lines = [",".join(self.CSV_COLUMNS)]
-        lines.extend(row % tuple(cells) for cells in table.tolist())
-        return "\n".join(lines) + "\n"
+        """One header line, then per energy the nine float columns as
+        ``%.12e`` and the flag as 0 or 1, byte-identical to formatting each
+        cell with ``%`` (see :mod:`scatchan.csvtext`)."""
+        from .csvtext import csv_text  # loaded only by processes that write a CSV
+
+        values = np.column_stack([getattr(self, f.name) for f in fields(self)[:-1]])
+        return csv_text(self.CSV_COLUMNS, values, self.superactivated)
 
 
 def closed_form_amplitudes(base: BarrierParams, energies) -> dict:

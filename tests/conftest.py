@@ -1,10 +1,12 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and the test-only oracles.
 
 All randomness is seeded at the call site; nothing here owns global state.
 """
 
 import numpy as np
 
+from scatchan.channel import ErasureChannel, kraus_set
+from scatchan.numerics import as_single_matrix, max_abs
 from scatchan.smatrix import PortSpec, ScatteringMatrix
 
 
@@ -130,3 +132,31 @@ def random_density(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def is_density(rho, tol=1e-12):
+    """Hermitian, unit trace, and positive semidefinite within tolerance."""
+    m = as_single_matrix(rho)
+    if m.shape[0] != m.shape[1]:
+        return False
+    if max_abs(m - m.conj().T) > tol:
+        return False
+    if abs(np.trace(m) - 1.0) > tol:
+        return False
+    return float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) >= -1e-10
+
+
+def apply_via_kraus(ch: ErasureChannel, rho):
+    """The channel applied through its Kraus set: the oracle for
+    :func:`scatchan.channel.apply`."""
+    r = as_single_matrix(rho)
+    out = np.zeros((ch.d + 1, ch.d + 1), dtype=complex)
+    for k in kraus_set(ch):
+        out += k @ r @ k.conj().T
+    return out
+
+
+def choi_partial_trace_out(j, d):
+    """Trace out the (d+1)-dim output factor of a Choi matrix."""
+    t = as_single_matrix(j).reshape(d + 1, d, d + 1, d)
+    return np.einsum("aiaj->ij", t)

@@ -110,7 +110,9 @@ class TestDataProcessing:
                 random_contraction(rng, d), random_contraction(rng, d), d
             )
             assert r.holds
-            q_comp, q_factor_min = r.bound(d)
+            q_comp = erasure_capacity(r.p_max_composed, d)
+            q_factor_min = min(erasure_capacity(r.p_max_first, d),
+                               erasure_capacity(r.p_max_second, d))
             assert q_comp <= q_factor_min + 1e-12
 
 

@@ -4,11 +4,8 @@ import pytest
 from scatchan.channel import (
     ErasureChannel,
     apply,
-    apply_via_kraus,
     choi,
-    choi_partial_trace_out,
     compose,
-    is_density,
     kraus_set,
     transmission_operator,
 )
@@ -16,7 +13,14 @@ from scatchan.errors import InvalidInputError
 from scatchan.numerics import max_abs
 from scatchan.smatrix import PortSpec, ScatteringMatrix
 
-from conftest import random_contraction, random_density, random_unitary
+from conftest import (
+    apply_via_kraus,
+    choi_partial_trace_out,
+    is_density,
+    random_contraction,
+    random_density,
+    random_unitary,
+)
 
 SWAP_D2 = ScatteringMatrix(
     np.block([
@@ -188,11 +192,3 @@ def test_unitary_covariance():
         lhs = apply(conj, rho)
         rhs = u2_ext @ apply(base, u1 @ rho @ u1.conj().T) @ u2_ext.conj().T
         assert max_abs(lhs - rhs) < 1e-12
-
-
-def test_channel_json_roundtrip():
-    rng = np.random.default_rng(11)
-    ch = ErasureChannel(random_contraction(rng, 3))
-    back = ErasureChannel.from_json(ch.to_json())
-    assert back.d == 3
-    assert max_abs(back.m_op - ch.m_op) == 0.0

@@ -134,7 +134,44 @@ class TestVerify:
         captured = capsys.readouterr()
         assert rc == 0
         assert "transmission" in captured.out
+        assert "star/series + unitarity residual max" in captured.out
         assert "within tolerance" in captured.out
+
+    @staticmethod
+    def star_scenario(tmp_path, s1, s2, **extra):
+        spec = PortSpec(1, 1, 1, 1, 1)
+        sc = {"kind": "star-demo", "name": "pair",
+              "s1": ScatteringMatrix(s1, spec).to_json(),
+              "s2": ScatteringMatrix(s2, spec).to_json(), **extra}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(sc))
+        return str(path)
+
+    def test_mirror_pair_skips_the_series(self, tmp_path, capsys):
+        # Two perfect mirrors: the loop S2_LL S1_RR = 1 is singular, star
+        # resolves it by the kernel check, and the series does not converge.
+        wiring = {"s1_to_s2": [[0, 0]], "s2_to_s1": [[0, 0]]}
+        path = self.star_scenario(tmp_path, np.eye(2), np.eye(2), wiring=wiring)
+        assert cli.main(["--out", str(tmp_path), "run", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["--out", str(tmp_path), "verify", path]) == 0
+        out = capsys.readouterr().out
+        assert "geometric series route skipped" in out
+        assert "kernel decoupling residual max: 0.000e+00" in out
+        assert "kernel decoupling + unitarity residual max" in out
+
+    @pytest.mark.parametrize("factor, route", [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "star/series"),
+        (np.eye(2), "kernel decoupling"),
+    ], ids=["transparent", "mirror"])
+    def test_non_unitary_pair_exits_3(self, tmp_path, capsys, factor, route):
+        # Scaled by 1 + 2e-9, a defect of ~4e-9: within the 1e-8 gate of
+        # the scenario's matrices, beyond verify's 1e-9.
+        path = self.star_scenario(tmp_path, (1 + 2e-9) * factor, factor)
+        assert cli.main(["--out", str(tmp_path), "verify", path]) == 3
+        captured = capsys.readouterr()
+        assert f"{route} + unitarity residual max: 4.000e-09" in captured.out
+        assert "FAIL: residual 4.000e-09" in captured.err
 
     def test_barrier_sweep(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "verify", small_sweep(tmp_path)])
