@@ -3,7 +3,6 @@
 Subcommands:
   run <scenario.json>     evaluate a scenario, emit CSV and SVG into --out
   verify <scenario.json>  run the oracle cross-checks, print max residuals
-  star <A.json> <B.json> <wiring.json>  compose two scatterers
 
 Exit codes: 0 success, 2 malformed scenario or missing file, 3 numerical
 consistency failure (including a NaN residual).  Output bytes are
@@ -27,7 +26,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-from html import escape
 
 import numpy as np
 
@@ -49,14 +47,8 @@ _COLORS = ("#1f5fa8", "#c23b22", "#2e8540", "#8a5fa8")
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = np.linspace(lo, hi, n)
     return [float(t) for t in raw]
-
-
-def _fmt(x: float) -> str:
-    return "%.3g" % x
 
 
 def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
@@ -67,6 +59,8 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
     drawn through its pixel-column envelope: per run of samples in one pixel
     column, the first, the last, and the first lowest and highest samples.
     """
+    from html import escape  # here, not at module level: verify never draws
+
     x = np.asarray(x, dtype=float)
     title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
     x_lo, x_hi = float(x[0]), float(x[-1])
@@ -122,13 +116,13 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
         parts.append(f'<line x1="{xx:.2f}" y1="{_MT + ph}" x2="{xx:.2f}" '
                      f'y2="{_MT + ph + 5}" stroke="black"/>')
         parts.append(f'<text x="{xx:.2f}" y="{_MT + ph + 20}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="12">{_fmt(t)}</text>')
+                     f'font-family="sans-serif" font-size="12">{t:.3g}</text>')
     for t in _ticks(y_lo, y_hi):
         yy = py(t)
         parts.append(f'<line x1="{_ML - 5}" y1="{yy:.2f}" x2="{_ML}" '
                      f'y2="{yy:.2f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{yy + 4:.2f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="12">{_fmt(t)}</text>')
+                     f'font-family="sans-serif" font-size="12">{t:.3g}</text>')
     parts.append(f'<text x="{_ML + pw // 2}" y="{_SVG_H - 10}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13">{xlabel}</text>')
     parts.append(f'<text x="18" y="{_MT + ph // 2}" text-anchor="middle" '
@@ -360,19 +354,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_star(args) -> int:
-    with open(args.first, "r", encoding="utf-8") as fh:
-        s1 = ScatteringMatrix.from_json(json.load(fh))
-    with open(args.second, "r", encoding="utf-8") as fh:
-        s2 = ScatteringMatrix.from_json(json.load(fh))
-    with open(args.wiring, "r", encoding="utf-8") as fh:
-        wiring = composer.Wiring.from_json(json.load(fh))
-    result = composer.star(s2, s1, wiring)
-    print(_write(args.out, "star.json", _json_text(result.to_json())))
-    print(f"unitarity defect: {unitarity_defect(result.matrix):.3e}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="scatchan",
@@ -392,12 +373,6 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run oracle cross-checks")
     p_ver.add_argument("scenario")
     p_ver.set_defaults(func=_cmd_verify)
-
-    p_star = sub.add_parser("star", help="compose two scatterers")
-    p_star.add_argument("first")
-    p_star.add_argument("second")
-    p_star.add_argument("wiring")
-    p_star.set_defaults(func=_cmd_star)
 
     args = parser.parse_args(argv)
     try:

@@ -63,12 +63,6 @@ class Wiring:
     s1_to_s2: tuple = field(default_factory=tuple)
     s2_to_s1: tuple = field(default_factory=tuple)
 
-    def to_json(self) -> dict:
-        return {
-            "s1_to_s2": [list(p) for p in self.s1_to_s2],
-            "s2_to_s1": [list(p) for p in self.s2_to_s1],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "Wiring":
         try:
@@ -81,7 +75,10 @@ class Wiring:
             raise InvalidInputError(f"malformed wiring: {exc}") from exc
 
 
-def _validate_pair(s2: ScatteringMatrix, s1: ScatteringMatrix):
+def _validate_pair(s2: ScatteringMatrix, s1: ScatteringMatrix,
+                   wiring: Wiring | None = None) -> ScatteringMatrix:
+    """Check that ``s2 * s1`` is defined; returns ``s2`` with the wiring
+    applied (``s2`` itself when there is none)."""
     if s1.matrix.shape[:-2] != s2.matrix.shape[:-2]:
         raise InvalidInputError(
             f"stack shapes differ: {s1.matrix.shape[:-2]} vs {s2.matrix.shape[:-2]}"
@@ -100,6 +97,7 @@ def _validate_pair(s2: ScatteringMatrix, s1: ScatteringMatrix):
             f"s1 has {s1.spec.right_in} right-in slots but s2 has "
             f"{s2.spec.left_out} left-out slots"
         )
+    return s2 if wiring is None else _apply_wiring(s2, s1, wiring)
 
 
 def _apply_wiring(s2: ScatteringMatrix, s1: ScatteringMatrix, wiring: Wiring):
@@ -314,9 +312,7 @@ def kernel_decoupling_check(
     s2: ScatteringMatrix, s1: ScatteringMatrix, wiring: Wiring | None = None
 ) -> KernelDecouplingReport:
     """Verify that loop-kernel modes are invisible from all dangling ports."""
-    _validate_pair(s2, s1)
-    if wiring is not None:
-        s2 = _apply_wiring(s2, s1, wiring)
+    s2 = _validate_pair(s2, s1, wiring)
     return _loop_inverse(s2, s1, _interface_product(s2, s1)[1])[1]
 
 
@@ -337,9 +333,7 @@ def star(
     unless one of them is itself non-unitary.  Stacks are composed row by
     row in one pass; every measurement takes the worst row.
     """
-    _validate_pair(s2, s1)
-    if wiring is not None:
-        s2 = _apply_wiring(s2, s1, wiring)
+    s2 = _validate_pair(s2, s1, wiring)
 
     prod, hop = _interface_product(s2, s1)
     linv, report = _loop_inverse(s2, s1, hop)
@@ -368,9 +362,7 @@ def star_via_padding(
     """Star product by the paper's padded construction: pad both factors
     to k_bar slots per group, compose them homogeneously with :func:`star`,
     and extract the physical block.  The oracle for dishomogeneous pairs."""
-    _validate_pair(s2, s1)
-    if wiring is not None:
-        s2 = _apply_wiring(s2, s1, wiring)
+    s2 = _validate_pair(s2, s1, wiring)
     k_bar = max(
         s1.spec.left_in, s1.spec.left_out, s1.spec.right_in, s1.spec.right_out,
         s2.spec.left_in, s2.spec.left_out, s2.spec.right_in, s2.spec.right_out,
@@ -394,9 +386,7 @@ def star_via_series(
     Independent of the LU and pseudo-inverse loop inverse of :func:`star`;
     serves as its oracle on the contractive domain.
     """
-    _validate_pair(s2, s1)
-    if wiring is not None:
-        s2 = _apply_wiring(s2, s1, wiring)
+    s2 = _validate_pair(s2, s1, wiring)
     prod, hop = _interface_product(s2, s1)
     if hop.shape[-1] and operator_norm(hop) >= 1.0:
         raise SeriesDivergentError(

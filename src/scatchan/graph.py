@@ -40,16 +40,6 @@ class QuantumGraph:
             tuple(tuple(p) for p in dangling_out),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": [
-                {"id": vid, "smatrix": s.to_json()} for vid, s in self.vertices
-            ],
-            "edges": [[list(a), list(b)] for a, b in self.internal_edges],
-            "dangling_in": [list(p) for p in self.dangling_in],
-            "dangling_out": [list(p) for p in self.dangling_out],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "QuantumGraph":
         def vertex_id(v):

@@ -80,7 +80,7 @@ def max_abs(a) -> float:
     m = np.asarray(a)
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def whole_number(value, name: str, least: float = 0, most: float = math.inf) -> int:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,23 +130,20 @@ def translated_barrier(s1: ScatteringMatrix, separation: float, energies) -> Sca
     each energy of ``s1``'s stack.  The result is D S1 D with the unitary
     D = diag(exp(i phi/2), exp(-i phi/2)), so it stays unitary and only the
     phases are checked."""
-    phi = (2.0 * np.sqrt(np.asarray(energies, dtype=float)) * separation)[..., None, None]
+    phi = 2.0 * np.sqrt(np.asarray(energies, dtype=float)) * separation
     if not np.all(np.isfinite(phi)):
         raise InvalidInputError("translation phase contains NaN or Inf entries")
-    d = s1.spec.dim
-    matrix = np.array(s1.matrix)
-    matrix[..., :d, :d] *= np.exp(1j * phi)
-    matrix[..., d:, d:] *= np.exp(-1j * phi)
+    # One out-of-place product of the (..., 2, d, 2, d) view of the stack and
+    # the phase pattern [[exp(i phi), 1], [1, exp(-i phi)]] of its blocks.
+    d, shape = s1.spec.dim, s1.matrix.shape
+    phase = np.exp(1j * phi[..., None, None, None, None] * np.diag([1.0, -1.0])[:, None, :, None])
+    matrix = (s1.matrix.reshape(shape[:-2] + (2, d, 2, d)) * phase).reshape(shape)
     return ScatteringMatrix._trusted(matrix, s1.spec)
 
 
-@lru_cache(maxsize=32)
 def loss_smatrix(eta: float) -> ScatteringMatrix:
     """Point-like spin- and energy-independent scatterer that deflects the
-    particle off the line with probability eta (8x8, d=2).
-
-    Cached: the matrix is immutable and independent of energy.
-    """
+    particle off the line with probability eta (8x8, d=2)."""
     if not 0.0 <= eta <= 1.0:
         raise InvalidInputError(f"eta out of [0, 1]: {eta}")
     rt_e = np.sqrt(eta)

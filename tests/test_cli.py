@@ -188,19 +188,14 @@ class TestVerify:
         assert cli.main(["--out", str(tmp_path), "verify", str(path)]) == 3
 
 
-class TestStarCommand:
-    def test_compose_two_files(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
-        s1 = random_smatrix(rng, 1, 1)
-        s2 = random_smatrix(rng, 1, 1)
-        a, b, w = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "w.json"
-        a.write_text(json.dumps(s1.to_json()))
-        b.write_text(json.dumps(s2.to_json()))
-        w.write_text(json.dumps({"s1_to_s2": [[0, 0]], "s2_to_s1": [[0, 0]]}))
-        rc = cli.main(["--out", str(tmp_path), "star", str(a), str(b), str(w)])
-        assert rc == 0
-        result = json.loads((tmp_path / "star.json").read_text())
-        assert result["spec"]["dim"] == 1
+def test_star_subcommand_is_gone(tmp_path, capsys):
+    # Two scatterers are composed by a star-demo scenario through ``run``.
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json", "w.json")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "out"), "star", *paths])
+    assert exc.value.code == 2
+    assert "invalid choice: 'star'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fig2_csv_golden(tmp_path):
@@ -282,18 +277,6 @@ class TestScenarioBoundary:
         path.write_text(json.dumps(sc))
         out = tmp_path / "out"
         assert cli.main(["--out", str(out), "run", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_malformed_star_file_exits_2(self, tmp_path, capsys):
-        s = random_smatrix(np.random.default_rng(1), 1, 1).to_json()
-        a, b, w = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "w.json"
-        a.write_text(json.dumps(s))
-        s["matrix"]["data"][0] = [0, 0, 0]
-        b.write_text(json.dumps(s))
-        w.write_text(json.dumps({"s1_to_s2": [[0, 0]], "s2_to_s1": [[0, 0]]}))
-        out = tmp_path / "out"
-        assert cli.main(["--out", str(out), "star", str(a), str(b), str(w)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 

@@ -577,8 +577,3 @@ def test_star_is_not_commutative():
     s2 = random_smatrix(rng, 1, 2)
     gap = max_abs(star(s2, s1).matrix - star(s1, s2).matrix)
     assert gap > 0.1
-
-
-def test_wiring_json_roundtrip():
-    w = Wiring(((0, 1), (1, 0)), ((0, 0), (1, 1)))
-    assert Wiring.from_json(w.to_json()) == w

@@ -209,11 +209,3 @@ class TestCompiledPlan:
         bad = ScatteringMatrix(0.5 * s2.matrix, s2.spec, check=False)
         result = contract(two_vertex_loop(s1, bad))
         assert unitarity_defect(result.matrix) > 1e-3
-
-
-def test_graph_json_roundtrip():
-    g = two_vertex_loop(SWAP2, SWAP2)
-    back = QuantumGraph.from_json(g.to_json())
-    assert back.internal_edges == g.internal_edges
-    assert back.dangling_in == g.dangling_in
-    assert max_abs(back.vertices[0][1].matrix - SWAP2.matrix) == 0.0

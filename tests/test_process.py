@@ -70,6 +70,16 @@ def test_cli_import_keeps_a_preset_thread_count():
     assert done.stdout.strip() == "3"
 
 
+def test_verify_does_not_import_html():
+    # Only the SVG writer escapes markup, and verify draws nothing.
+    code = ("import sys; from scatchan import cli; "
+            f"code = cli.main(['verify', {str(SCENARIOS / 'fig2_eps0.json')!r}]); "
+            "print(code, 'html' in sys.modules)")
+    done = child(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_run_prints_every_path_into_a_pipe(tmp_path):
     sc = json.loads((SCENARIOS / "fig2_eps0.json").read_text())
     sc["grid"]["points"] = 300

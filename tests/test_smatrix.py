@@ -152,6 +152,11 @@ class TestUnitarityDefect:
         assert np.isnan(unitarity_defect(u))
         assert unitarity_defect(u[[0, 2]]) < 1e-14
 
+    def test_nan_in_one_matrix_gives_nan(self):
+        u = random_unitary(np.random.default_rng(10), 4)
+        u[2, 1] = np.nan
+        assert np.isnan(unitarity_defect(u))
+
 
 class TestConversion:
     def test_swap_to_transfer_is_identity(self):
