@@ -28,6 +28,12 @@ are C-ordered stacks, as are the operands graph contraction passes in (or
 broadcasts of one C-ordered matrix), and the assembly adds its round trips
 in one contiguous pass; the barrier scatterers of :mod:`scatchan.physics`
 are gated on their amplitudes before they are stacked.
+
+Memory: a merge of two stacks writes its interface product and round-trip
+term, and its gate the gate's temporaries, to per-thread
+:func:`~scatchan.numerics.workspace` buffers (about five stacks of the
+largest shape the thread has merged), so a sweep of merges faults in no
+fresh pages.  Every result, loop inverse and loop matrix is a fresh array.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ from .errors import (
     InvalidInputError,
     SeriesDivergentError,
 )
-from .numerics import DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse, whole_number
+from .numerics import (
+    DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse, whole_number, workspace,
+)
 from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
 
 KERNEL_SV_TOL = 1e-10
@@ -124,7 +132,8 @@ def _interface_product(s2: ScatteringMatrix, s1: ScatteringMatrix):
     [S2_LL S1_RL, S2_LL S1_RR; S2_RL S1_RL, S2_RL S1_RR], and its loop block
     S2_LL S1_RR."""
     d = s1.spec.dim
-    prod = s2.matrix[..., :s2.spec.left_in * d] @ s1.matrix[..., s1.spec.left_out * d:, :]
+    a, b = s2.matrix[..., :s2.spec.left_in * d], s1.matrix[..., s1.spec.left_out * d:, :]
+    prod = np.matmul(a, b, out=workspace("interface", a.shape[:-1] + b.shape[-1:]))
     return prod, prod[..., :s2.spec.left_out * d, s1.spec.left_in * d:]
 
 
@@ -164,7 +173,7 @@ def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray,
     matrix[..., :lo1, li1:] = 0.0
     matrix[..., lo1:, :li1] = prod[..., lo2:, :li1]
     matrix[..., lo1:, li1:] = m2[..., lo2:, li2:]
-    matrix += feed @ (linv @ drive)
+    matrix += np.matmul(feed, linv @ drive, out=workspace("round_trip", matrix.shape))
     return ScatteringMatrix._trusted(matrix, spec)
 
 

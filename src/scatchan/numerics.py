@@ -10,12 +10,38 @@ axes, decomposed row by row.  The JSON literal form used across the repo is
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 DEFAULT_REL_TOL = 1e-12
+
+_workspace = threading.local()
+
+
+def workspace(slot: str, shape: tuple, dtype=complex) -> np.ndarray | None:
+    """A C-ordered, uninitialized array of ``shape`` and ``dtype`` on this
+    thread's scratch buffer ``slot``, to pass as a ufunc's ``out``; ``None``
+    (the ufunc allocates) for one matrix, which this call would only slow.
+
+    Each slot's buffer grows to the largest stack it has seen and is then
+    reused, so that the allocator does not return its pages to the kernel
+    and fault them in again on the next call.  The next request for the
+    same slot overwrites the array: a caller lets it go before that, and
+    never returns it.  Threads never share a buffer.
+    """
+    if len(shape) < 3:
+        return None
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffers = _workspace.__dict__
+    buf = buffers.get(slot)
+    if buf is None or buf.nbytes < nbytes:
+        # complex128 items keep every view aligned for any numeric dtype.
+        buf = buffers[slot] = np.empty(-(-nbytes // 16), dtype=np.complex128)
+    return np.ndarray(shape, dtype, buffer=buf)
 
 
 def as_matrix(a) -> np.ndarray:

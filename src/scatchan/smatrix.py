@@ -9,7 +9,8 @@ axes (one per energy of a sweep, say), all under one port partition; block
 access and reindexing act on the last two axes.  Stacks are C-ordered (the
 matrix axes innermost): reindexing gathers into that layout in one
 ``np.take``, and a relabelling that moves no slot shares the array.  The
-unitarity gate makes one Gram temporary.  Transfer matrices stay 2-D.
+unitarity gate of a stack writes its temporaries to the thread's workspace
+and allocates nothing.  Transfer matrices stay 2-D.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConversionUnavailableError, InvalidInputError, NonUnitaryError
-from .numerics import as_matrix, matrix_from_json, matrix_to_json, max_abs, whole_number
+from .numerics import as_matrix, matrix_from_json, matrix_to_json, whole_number, workspace
 
 UNITARITY_TOL = 1e-8
 CONDITION_CUTOFF = 1e8
@@ -89,13 +90,19 @@ class PortSpec:
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Entrywise max-norm of S^dag S - 1 (square matrices only); of a
-    stack, that of its worst row.  One Gram temporary, 1 taken off its
-    diagonal in place (every n+1-th entry of each C-ordered n x n row)."""
+    stack, that of its worst row (NaN if any entry is).  The conjugate, the
+    Gram matrix and its modulus are :func:`~scatchan.numerics.workspace`
+    arrays; 1 is taken off the Gram diagonal in place (every n+1-th entry of
+    each C-ordered n x n row)."""
     m = np.asarray(matrix)
-    gram = m.conj().swapaxes(-1, -2) @ m
-    n = gram.shape[-1]
+    conj = np.conjugate(m, out=workspace("gate_conj", m.shape, m.dtype))
+    n = m.shape[-1]
+    gram = np.matmul(conj.swapaxes(-1, -2), m,
+                     out=workspace("gate_gram", m.shape[:-2] + (n, n), m.dtype))
     gram.reshape(gram.shape[:-2] + (n * n,))[..., :: n + 1] -= 1
-    return max_abs(gram)
+    if gram.size == 0:
+        return 0.0
+    return float(np.abs(gram, out=workspace("gate_abs", gram.shape, gram.real.dtype)).max())
 
 
 class ScatteringMatrix:

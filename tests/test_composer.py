@@ -577,3 +577,91 @@ def test_star_is_not_commutative():
     s2 = random_smatrix(rng, 1, 2)
     gap = max_abs(star(s2, s1).matrix - star(s1, s2).matrix)
     assert gap > 0.1
+
+
+def workspace_buffers():
+    """Every buffer this thread's merge workspace holds."""
+    return list(numerics._workspace.__dict__.values())
+
+
+class TestWorkspace:
+    """Stacked merges write their temporaries to per-thread workspace
+    buffers; nothing they return may live there."""
+
+    @staticmethod
+    def stacks(seed, rows=6, k=2, d=2):
+        rng = np.random.default_rng(seed)
+        pairs = [(bounded_loop_smatrix(rng, k, d), bounded_loop_smatrix(rng, k, d))
+                 for _ in range(rows)]
+        return stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+
+    def test_consecutive_merges_return_independent_results(self):
+        first = star(*self.stacks(60))
+        kept = first.matrix.copy()
+        second = star(*self.stacks(61))
+        assert second.matrix.shape == first.matrix.shape
+        assert np.array_equal(first.matrix, kept)
+        assert not np.shares_memory(first.matrix, second.matrix)
+        assert not np.array_equal(first.matrix, second.matrix)
+
+    def test_nothing_returned_lives_in_a_workspace_buffer(self):
+        s2, s1 = self.stacks(62)
+        rng = np.random.default_rng(63)
+        pairs = [singular_loop_pair(rng, 1, 2) for _ in range(3)]
+        singular = stacked([p[0] for p in pairs]), stacked([p[1] for p in pairs])
+        outputs = [star(s2, s1).matrix, star(*singular).matrix, loop_matrix(s2, s1),
+                   star_via_series(s2, s1).matrix, star_via_padding(s2, s1).matrix]
+        for pair in ((s2, s1), singular):
+            outputs.append(composer._loop_inverse(
+                *pair, composer._interface_product(*pair)[1])[0])
+        buffers = workspace_buffers()
+        assert len(buffers) >= 5
+        for out in outputs:
+            assert not any(np.shares_memory(out, buf) for buf in buffers)
+
+    def test_series_keeps_its_interface_product_through_its_loop(self, monkeypatch):
+        s2, s1 = self.stacks(64, k=1, d=2)
+        d = s1.spec.dim
+        fresh = s2.matrix[..., :s2.spec.left_in * d] @ s1.matrix[..., s1.spec.left_out * d:, :]
+        assemble = composer._assemble
+        seen = []
+
+        def checked(s2, s1, linv, prod):
+            assert any(np.shares_memory(prod, buf) for buf in workspace_buffers())
+            seen.append(np.array_equal(prod, fresh))
+            return assemble(s2, s1, linv, prod)
+
+        monkeypatch.setattr(composer, "_assemble", checked)
+        series = star_via_series(s2, s1, tol=1e-14)
+        monkeypatch.undo()
+        assert seen == [True]
+        assert max_abs(series.matrix - star(s2, s1).matrix) < 1e-12
+
+    def test_threads_compose_as_they_would_serially(self):
+        import sys
+        import threading
+
+        jobs = [self.stacks(70 + j, rows=8 + 40 * j, k=1 + j % 2) for j in range(4)]
+        serial = [star(*job).matrix for job in jobs]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def compose(j):
+            start.wait(timeout=30)
+            for _ in range(25):
+                results[j].append(star(*jobs[j]).matrix)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compose, args=(j,)) for j in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for j, got in enumerate(results):
+            assert len(got) == 25
+            assert all(np.array_equal(m, serial[j]) for m in got)

@@ -9,6 +9,7 @@ from scatchan.numerics import (
     max_abs,
     pseudo_inverse,
     svd,
+    workspace,
 )
 
 from conftest import random_unitary
@@ -84,3 +85,30 @@ def test_matrix_json_roundtrip():
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(InvalidInputError):
         as_matrix([[1.0, np.inf]])
+
+
+class TestWorkspace:
+    def test_slot_is_reused_and_grows(self):
+        a = workspace("test_slot", (4, 3, 3))
+        assert a.shape == (4, 3, 3) and a.dtype == complex
+        assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+        b = workspace("test_slot", (2, 3, 3), float)
+        assert b.dtype == float and np.shares_memory(a, b)
+        c = workspace("test_slot", (40, 3, 3))
+        assert not np.shares_memory(a, c)
+        assert np.shares_memory(c, workspace("test_slot", (4, 3, 3)))
+        assert not np.shares_memory(c, workspace("other_test_slot", (4, 3, 3)))
+
+    def test_one_matrix_is_left_to_the_allocator(self):
+        assert workspace("test_slot", (8, 8)) is None
+
+    def test_threads_get_their_own_buffers(self):
+        import threading
+
+        mine = workspace("test_slot", (4, 3, 3))
+        theirs = []
+        t = threading.Thread(target=lambda: theirs.append(workspace("test_slot", (4, 3, 3))))
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert not np.shares_memory(mine, theirs[0])

@@ -157,6 +157,18 @@ class TestUnitarityDefect:
         u[2, 1] = np.nan
         assert np.isnan(unitarity_defect(u))
 
+    def test_workspace_reuse_across_shapes(self):
+        """Stacks that grow and shrink the gate's workspace buffers each get
+        the defect of the explicit form, and their entries stay as given."""
+        rng = np.random.default_rng(11)
+        for shape in [(3, 4, 4), (40, 8, 8), (5, 2, 2), (2, 3, 8, 8), (1, 0, 0)]:
+            n = shape[-1]
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            kept = m.copy()
+            explicit = max_abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))
+            assert unitarity_defect(m) == explicit
+            assert np.array_equal(m, kept)
+
 
 class TestConversion:
     def test_swap_to_transfer_is_identity(self):
