@@ -56,6 +56,7 @@ from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
 KERNEL_SV_TOL = 1e-10
 DECOUPLING_TOL = 1e-8
 RESULT_UNITARITY_TOL = 1e-6
+SERIES_SQUARINGS = 64
 
 
 @dataclass(frozen=True)
@@ -387,13 +388,16 @@ def star_via_series(
     s2: ScatteringMatrix,
     s1: ScatteringMatrix,
     wiring: Wiring | None = None,
-    max_terms: int = 1000,
     tol: float = 1e-14,
 ) -> ScatteringMatrix:
     """Star product with the loop inverse resummed as a geometric series.
 
     Independent of the LU and pseudo-inverse loop inverse of :func:`star`;
-    serves as its oracle on the contractive domain.
+    serves as its oracle on the contractive domain.  The series is summed
+    by squaring, (1 - H)^-1 = prod_j (1 + H^(2^j)), up to the first factor
+    with max|H^(2^j)| < ``tol``, which leaves out H^(2^(j+1)) (1 - H)^-1; a
+    loop that does not get there within SERIES_SQUARINGS squarings
+    (2^SERIES_SQUARINGS terms) raises rather than return a partial sum.
     """
     s2 = _validate_pair(s2, s1, wiring)
     prod, hop = _interface_product(s2, s1)
@@ -401,11 +405,12 @@ def star_via_series(
         raise SeriesDivergentError(
             "geometric series diverges: ||S2^{L,L} S1^{R,R}|| >= 1"
         )
-    linv = np.eye(hop.shape[-1], dtype=complex)
-    term = np.eye(hop.shape[-1], dtype=complex)
-    for _ in range(max_terms):
-        term = term @ hop
-        if max_abs(term) < tol:
-            break
-        linv = linv + term
-    return _assemble(s2, s1, linv, prod)
+    linv, power = np.eye(hop.shape[-1]) + hop, hop
+    for _ in range(SERIES_SQUARINGS):
+        power = power @ power
+        linv = linv + linv @ power
+        if max_abs(power) < tol:
+            return _assemble(s2, s1, linv, prod)
+    raise SeriesDivergentError(
+        f"geometric series not below {tol:.0e} after {SERIES_SQUARINGS} squarings"
+    )

@@ -7,10 +7,11 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from scatchan import cli, physics
+from scatchan import cli, composer, physics
 from scatchan.smatrix import PortSpec, ScatteringMatrix
 
 from conftest import random_smatrix
+from test_composer import near_resonant_pair
 
 SCENARIOS = files("scatchan") / "scenarios"
 
@@ -179,6 +180,27 @@ class TestVerify:
         # 300 points sampled at stride 300 // 64 = 4
         assert ("closed form checked against the pipeline at 75 of 300 grid points"
                 in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("half_width", [10, 20, 80])
+    def test_barrier_sweep_with_a_near_resonant_series(self, tmp_path, capsys, half_width):
+        # At verify's middle energy the loop norm is 0.989-0.996: thousands
+        # of series terms, beyond a term-by-term sum of 1000.
+        sc = json.loads((SCENARIOS / "fig2_eps0.json").read_text())
+        sc["half_width"] = half_width
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(sc))
+        assert cli.main(["--out", str(tmp_path), "verify", str(path)]) == 0
+        assert "skipped" not in capsys.readouterr().out
+
+    def test_exhausted_series_budget_is_a_skip(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(composer, "SERIES_SQUARINGS", 2)
+        skip = "geometric series route skipped: geometric series not below 1e-14 after 2 squarings"
+        assert cli.main(["--out", str(tmp_path), "verify", small_sweep(tmp_path)]) == 0
+        assert skip in capsys.readouterr().out
+        s2, s1 = near_resonant_pair()
+        path = self.star_scenario(tmp_path, s1.matrix, s2.matrix)
+        assert cli.main(["--out", str(tmp_path), "verify", path]) == 0
+        assert skip in capsys.readouterr().out
 
     def test_wrong_expectation_exits_3(self, tmp_path):
         sc = json.loads((SCENARIOS / "star_demo.json").read_text())

@@ -101,7 +101,24 @@ class TestStar:
             star(s2, s1, Wiring(((0, 0), (1, 0)), ((0, 0), (1, 1))))
 
 
+def near_resonant_pair():
+    """Beam splitters whose loop S2_LL S1_RR is 0.999: the term-by-term
+    series would need about 32000 terms to reach 1e-14."""
+    bs = beamsplitter(np.arcsin(np.sqrt(0.999)))
+    return ScatteringMatrix(np.diag([-1.0, 1.0]) @ bs.matrix, SPEC11), bs
+
+
 class TestSeries:
+    def test_near_resonant_loop_converges(self):
+        s2, s1 = near_resonant_pair()
+        assert np.allclose(composer._interface_product(s2, s1)[1], 0.999)
+        assert max_abs(star_via_series(s2, s1, tol=1e-14).matrix - star(s2, s1).matrix) < 1e-12
+
+    def test_exhausted_squaring_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(composer, "SERIES_SQUARINGS", 2)
+        with pytest.raises(SeriesDivergentError, match="after 2 squarings"):
+            star_via_series(*near_resonant_pair(), tol=1e-14)
+
     def test_swap_series(self):
         g = star_via_series(SWAP, SWAP)
         assert max_abs(g.matrix - SWAP.matrix) < 1e-14
