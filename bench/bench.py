@@ -41,10 +41,14 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
   pages the allocator hands back to the kernel and takes again between
   calls.
 
-The file also records the machine (nproc, Python and numpy versions), each
-tree's git commit and ``src_lines`` (the total ``wc -l`` of its
-``scatchan/*.py``), and the size and sha256 of the files ``run`` writes.
-Needs only the stdlib and numpy.
+The file also records the machine (nproc, Python and numpy versions); for
+each tree its git commit, ``dirty`` (whether the checkout has changes under
+the tree that the commit does not hold; commit and flag are ``null`` outside
+a git checkout), ``src_lines`` (the total ``wc -l`` of its
+``scatchan/*.py``) and ``src_sha256`` (of those files' names and bytes, in
+name order), which tell apart trees that one commit label would confuse;
+and the size and sha256 of the files ``run`` writes.  Needs only the stdlib
+and numpy.
 """
 
 from __future__ import annotations
@@ -162,14 +166,23 @@ def _child(src: Path, *args: str) -> subprocess.CompletedProcess:
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
-def _commit(src: Path):
-    done = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
+def _git(src: Path, *args: str):
+    done = subprocess.run(["git", "-C", str(src), *args],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-    return done.stdout.strip() or None
+    return done.stdout if done.returncode == 0 else None
 
 
-def _src_lines(src: Path) -> int:
-    return sum(p.read_bytes().count(b"\n") for p in (src / "scatchan").glob("*.py"))
+def _tree(src: Path) -> dict:
+    commit = _git(src, "rev-parse", "HEAD")
+    status = _git(src, "status", "--porcelain", "--", ".")
+    files = sorted((src / "scatchan").glob("*.py"))
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return {"commit": commit.strip() if commit else None,
+            "dirty": bool(status.strip()) if commit and status is not None else None,
+            "src_lines": sum(p.read_bytes().count(b"\n") for p in files),
+            "src_sha256": digest.hexdigest()}
 
 
 def _artifacts(out_dir: Path) -> dict:
@@ -179,8 +192,7 @@ def _artifacts(out_dir: Path) -> dict:
 
 
 def measure(trees: dict) -> dict:
-    results = {label: {"commit": _commit(src), "src_lines": _src_lines(src)}
-               for label, src in trees.items()}
+    results = {label: _tree(src) for label, src in trees.items()}
     samples = {label: {row: [] for row in ("run_s", "verify_s", *CHILD_ROWS, "run_peak_rss_mb",
                                            "crosscheck_full_peak_rss_mb", "pipeline_200_s",
                                            "pipeline_200_minflt")}

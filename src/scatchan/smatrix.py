@@ -100,9 +100,8 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     gram = np.matmul(conj.swapaxes(-1, -2), m,
                      out=workspace("gate_gram", m.shape[:-2] + (n, n), m.dtype))
     gram.reshape(gram.shape[:-2] + (n * n,))[..., :: n + 1] -= 1
-    if gram.size == 0:
-        return 0.0
-    return float(np.abs(gram, out=workspace("gate_abs", gram.shape, gram.real.dtype)).max())
+    modulus = np.abs(gram, out=workspace("gate_abs", gram.shape, gram.real.dtype))
+    return float(modulus.max(initial=0.0))
 
 
 class ScatteringMatrix:
