@@ -29,8 +29,8 @@ broadcasts of one C-ordered matrix), and the assembly adds its round trips
 in one contiguous pass; the barrier scatterers of :mod:`scatchan.physics`
 are gated on their amplitudes before they are stacked.
 
-Memory: a merge of two stacks writes its interface product and round-trip
-term, and its gate the gate's temporaries, to per-thread
+Memory: a merge of two stacks writes its interface product, its round-trip
+term and its gate's temporaries to per-thread
 :func:`~scatchan.numerics.workspace` buffers (about five stacks of the
 largest shape the thread has merged), so a sweep of merges faults in no
 fresh pages.  Every result, loop inverse and loop matrix is a fresh array.
