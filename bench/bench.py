@@ -4,9 +4,10 @@
 
 Each ``LABEL=SRC_DIR`` names a source tree (the directory that holds the
 ``scatchan`` package); the default is ``change=src`` of this checkout.  Trees
-are measured in one session, alternating their order from round to round, so
-that a parent and a change can be compared on the same machine state.  Every
-row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
+are measured in one session, in ``REPEATS`` rounds that alternate their
+order, so that a parent and a change can be compared on the same machine
+state.  Each round runs every child below once per tree, and each row is
+the best of its ``time.perf_counter`` samples over all rounds:
 
 * ``run_s``, ``verify_s``: ``python -m scatchan.cli --threads 1 run`` and
   ``... verify`` of the tree's ``fig2_eps0.json``, as child processes;
@@ -22,20 +23,22 @@ row is the best of ``REPEATS`` ``time.perf_counter`` repeats:
 * ``crosscheck_full_peak_rss_mb``: the ``ru_maxrss`` of a child process that
   runs only the ``cross_check_every=1`` sweep of the scenario's 20k grid,
   once (the smallest of the repeats);
-* ``energy_sweep_s``: ``physics.energy_sweep`` on the scenario's 20k grid at
-  the default cross-check stride, in a warm process;
-* ``crosscheck_full_s``: the same sweep with ``cross_check_every=1``, every
-  grid point recomputed through the graph pipeline;
-* ``to_csv_s``: ``SweepTable.to_csv`` of that sweep;
-* ``svg_line_plot_s``: one ``cli.svg_line_plot`` of its four transmission
-  curves with the superactivation bands;
+* ``energy_sweep_s``, ``crosscheck_full_s``, ``to_csv_s`` and
+  ``svg_line_plot_s``: one timed call each, in that order, in a child
+  process that has run one untimed sweep first:
+  - ``energy_sweep_s``: ``physics.energy_sweep`` on the scenario's 20k grid
+    at the default cross-check stride;
+  - ``crosscheck_full_s``: the same sweep with ``cross_check_every=1``,
+    every grid point recomputed through the graph pipeline;
+  - ``to_csv_s``: ``SweepTable.to_csv`` of that sweep;
+  - ``svg_line_plot_s``: one ``cli.svg_line_plot`` of its four transmission
+    curves with the superactivation bands;
 * ``pipeline_200_s``: ``physics.pipeline_amplitudes`` on 200 sorted seeded
   energies in (0.005, 2.0], with a fresh base (epsilon and eta in [0, 0.2],
   half width and separation within 10% of the scenario's) for each call, as
   one ``crosscheck_dense`` op of ``perfbench`` contracts them, in a child
   process that runs nothing else: ``PIPELINE_CALLS`` timed calls after as
-  many warm-up calls, one child per tree in each alternating round; the
-  best call of all rounds;
+  many warm-up calls; the best call of all rounds;
 * ``pipeline_200_minflt``: the median ``ru_minflt`` (minor page faults) per
   call of those children (the median of their medians), which counts the
   pages the allocator hands back to the kernel and takes again between
@@ -89,19 +92,11 @@ CROSSCHECK_RSS = ("import resource, sys; from scatchan import cli, physics; "
                   "base, grid = cli._sweep_inputs(cli.load_scenario(sys.argv[1]))[:2]; "
                   "physics.energy_sweep(base, grid, cross_check_every=1); "
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-# Prints the pipeline rows of one child (argv[1] is this script's directory).
-PIPELINE_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
-                  "print(json.dumps(bench.pipeline_rows()))")
-
-
-def best_of(fn) -> float:
-    """Smallest wall time of ``REPEATS`` calls of ``fn``."""
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+# Prints the rows of one child: argv[1] is this script's directory and argv[2]
+# the function of this module that measures them (``pipeline_rows`` or
+# ``layer_times``).
+ROWS_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
+              "print(json.dumps(getattr(bench, sys.argv[2])()))")
 
 
 def _scenario_inputs():
@@ -140,24 +135,29 @@ def pipeline_rows() -> dict:
     return {"pipeline_200_s": min(times), "pipeline_200_minflt": float(np.median(faults))}
 
 
-
 def layer_times() -> dict:
-    """In-process rows; runs in a child whose ``sys.path`` holds one tree."""
+    """One timed call of each in-process row, after one untimed sweep; runs
+    in a child whose ``sys.path`` holds one tree."""
     from scatchan import cli, physics
 
     base, grid = _scenario_inputs()
     table = physics.energy_sweep(base, grid)
     curves = [(c, getattr(table, c))
               for c in ("p_up_double", "p_dn_double", "p_up_single", "p_dn_single")]
-    return {
-        "energy_sweep_s": best_of(lambda: physics.energy_sweep(base, grid)),
-        "crosscheck_full_s": best_of(
-            lambda: physics.energy_sweep(base, grid, cross_check_every=1)),
-        "to_csv_s": best_of(table.to_csv),
-        "svg_line_plot_s": best_of(lambda: cli.svg_line_plot(
+    calls = {
+        "energy_sweep_s": lambda: physics.energy_sweep(base, grid),
+        "crosscheck_full_s": lambda: physics.energy_sweep(base, grid, cross_check_every=1),
+        "to_csv_s": table.to_csv,
+        "svg_line_plot_s": lambda: cli.svg_line_plot(
             table.energy, curves, "Transmission probabilities", "E / V0",
-            "transmission probability", shade_mask=table.superactivated)),
+            "transmission probability", shade_mask=table.superactivated),
     }
+    times = {}
+    for row, call in calls.items():
+        start = time.perf_counter()
+        call()
+        times[row] = time.perf_counter() - start
+    return times
 
 
 def _child(src: Path, *args: str) -> subprocess.CompletedProcess:
@@ -193,10 +193,7 @@ def _artifacts(out_dir: Path) -> dict:
 
 def measure(trees: dict) -> dict:
     results = {label: _tree(src) for label, src in trees.items()}
-    samples = {label: {row: [] for row in ("run_s", "verify_s", *CHILD_ROWS, "run_peak_rss_mb",
-                                           "crosscheck_full_peak_rss_mb", "pipeline_200_s",
-                                           "pipeline_200_minflt")}
-               for label in trees}
+    samples = {label: {row: [] for row in ROWS} for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(REPEATS):
             order = list(trees.items())
@@ -217,18 +214,15 @@ def measure(trees: dict) -> dict:
                 samples[label]["run_peak_rss_mb"].append(int(wrapped.stdout) / 1024)
                 swept = _child(src, "-c", CROSSCHECK_RSS, scenario)
                 samples[label]["crosscheck_full_peak_rss_mb"].append(int(swept.stdout) / 1024)
-                piped = json.loads(_child(src, "-c", PIPELINE_CHILD, str(Path(__file__).parent)).stdout)
-                for row, value in piped.items():
-                    samples[label][row].append(value)
+                for rows in ("pipeline_rows", "layer_times"):
+                    done = _child(src, "-c", ROWS_CHILD, str(Path(__file__).parent), rows)
+                    for row, value in json.loads(done.stdout).items():
+                        samples[label][row].append(value)
         for label in trees:
             results[label]["artifacts"] = _artifacts(Path(tmp) / label)
-    for label, src in trees.items():
+    for label in trees:
         results[label].update({row: min(v) for row, v in samples[label].items()})
         results[label]["pipeline_200_minflt"] = float(np.median(samples[label]["pipeline_200_minflt"]))
-        code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
-                "print(json.dumps(bench.layer_times()))")
-        done = _child(src, "-c", code, str(Path(__file__).parent))
-        results[label].update(json.loads(done.stdout))
     return results
 
 

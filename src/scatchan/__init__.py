@@ -40,7 +40,6 @@ _EXPORTS = {
     "energy_sweep": "physics",
     "erasure_capacity": "capacity",
     "kernel_decoupling_check": "composer",
-    "loop_matrix": "composer",
     "loss_smatrix": "physics",
     "pad_to_homogeneous": "composer",
     "pipeline_amplitudes": "physics",

@@ -43,9 +43,10 @@ class ErasureChannel:
         self.flag_index = self.d
         gram_defect = np.eye(self.d) - m.conj().T @ m
         evals, evecs = np.linalg.eigh((gram_defect + gram_defect.conj().T) / 2)
-        if evals.size and evals[0] < -CONTRACTION_TOL:
+        lowest = np.min(evals, initial=0.0)  # NaN if any eigenvalue is
+        if not lowest >= -CONTRACTION_TOL:
             raise InvalidInputError(
-                f"1 - M^dag M has eigenvalue {evals[0]:.3e}; M is not a contraction"
+                f"1 - M^dag M has eigenvalue {lowest:.3e}; M is not a contraction"
             )
         # Clamp tiny negative eigenvalues before the square root.
         evals = np.clip(evals, 0.0, None)

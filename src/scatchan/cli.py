@@ -2,16 +2,18 @@
 
 Subcommands:
   run <scenario.json>     evaluate a scenario, emit CSV and SVG into --out
-  verify <scenario.json>  run the oracle cross-checks, print max residuals
+  verify <scenario.json>  run the oracle cross-checks, print one
+                          "name: residual" line per named check
 
-Exit codes: 0 success, 2 malformed scenario or missing file, 3 numerical
-consistency failure (including a NaN residual).  Output bytes are
-deterministic for identical inputs.  --threads is accepted for
-compatibility; sweeps run in one thread.  Importing this module sets
-OPENBLAS_NUM_THREADS=1 unless the variable is already set, so the CLI runs
-numpy's BLAS in one thread; a plain ``import scatchan`` leaves it alone.
-Run as ``python -m scatchan.cli``, the process skips the interpreter's
-teardown once the command has finished.
+Exit codes: 0 success, 2 malformed scenario or unreadable file, 3 numerical
+consistency failure.  ``verify`` has one gate: it exits 3, naming the first
+failing check on stderr, if any residual is not within VERIFY_TOL (a NaN
+residual fails).  Output bytes are deterministic for identical inputs.
+--threads is accepted for compatibility; sweeps run in one thread.
+Importing this module sets OPENBLAS_NUM_THREADS=1 unless the variable is
+already set, so the CLI runs numpy's BLAS in one thread; a plain ``import
+scatchan`` leaves it alone.  Run as ``python -m scatchan.cli``, the process
+skips the interpreter's teardown once the command has finished.
 """
 
 from __future__ import annotations
@@ -157,13 +159,13 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
 
 
 def load_scenario(path: str) -> dict:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"scenario is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"scenario is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read scenario: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInputError(f"scenario must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -251,81 +253,67 @@ def run_star_demo(sc: dict, out_dir: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Verification
+# Verification: each ``verify_*`` returns its named checks, (name, residual)
+# pairs; ``_cmd_verify`` prints them and gates every residual on VERIFY_TOL.
 
 
-def verify_barrier_sweep(sc: dict, out) -> float:
-    """Closed-form vs pipeline, series vs star, unitarity, CPTP."""
-    base, grid, _ = _sweep_inputs(sc)
-    sample = grid[:: max(1, len(grid) // 64)]
-    worst = np.max(physics.pipeline_gap(
-        base, sample, physics.closed_form_amplitudes(base, sample)))
-
-    # star vs geometric series on the barrier pair, where the series converges
-    e_mid = float(sample[len(sample) // 2])
-    b1 = physics.barrier_smatrix(base, e_mid)
-    b2 = physics.translated_barrier(b1, base.separation, e_mid)
-    try:
-        series = composer.star_via_series(b2, b1, tol=1e-14)
-    except SeriesDivergentError as exc:
-        print(f"geometric series route skipped: {exc}", file=out)
-    else:
-        worst = np.maximum(worst, max_abs(composer.star(b2, b1).matrix - series.matrix))
-
-    # unitarity of the contracted double-barrier global matrix
-    s_g = physics.barrier_lines(base, e_mid)["double"]
-    worst = np.maximum(worst, unitarity_defect(s_g.matrix))
-
-    # CPTP of the induced erasure channel
-    m = channel.transmission_operator(s_g, 1, 4)
-    ch = channel.ErasureChannel(m)
-    kraus = channel.kraus_set(ch)
-    comp = sum(k.conj().T @ k for k in kraus)
-    worst = np.maximum(worst, max_abs(comp - np.eye(ch.d)))
-    j = channel.choi(ch)
-    worst = np.maximum(worst, np.maximum(0.0, -np.min(np.linalg.eigvalsh(j))))
-
-    print(f"closed form checked against the pipeline at {sample.size} of "
-          f"{grid.size} grid points", file=out)
-    print(f"closed-form/pipeline + oracle residual max: {worst:.3e}", file=out)
-    return float(worst)
-
-
-def verify_graph_contract(sc: dict, out) -> float:
-    g = QuantumGraph.from_json(sc["graph"])
-    s_g = contract(g)
-    worst = unitarity_defect(s_g.matrix)
-    print(f"global S unitarity defect: {worst:.3e}", file=out)
-    return worst
-
-
-def verify_star_demo(sc: dict, out) -> float:
-    """Star vs geometric series where ||S2_LL S1_RR|| < 1, else the kernel
-    decoupling residual of the singular loop; unitarity either way."""
-    s2, s1, wiring = _star_inputs(sc)
-    direct = composer.star(s2, s1, wiring)
+def _series_check(s2, s1, wiring=None) -> tuple[str, float]:
+    """Star against the geometric series where ``star_via_series``
+    converges; otherwise the kernel decoupling residual of the loop, under a
+    name that says why the series was skipped."""
     try:
         series = composer.star_via_series(s2, s1, wiring, tol=1e-14)
     except SeriesDivergentError as exc:
-        print(f"geometric series route skipped: {exc}", file=out)
-        worst = composer.kernel_decoupling_check(s2, s1, wiring).max_residual
-        print(f"kernel decoupling residual max: {worst:.3e}", file=out)
-        label = "kernel decoupling"
-    else:
-        worst = max_abs(direct.matrix - series.matrix)
-        label = "star/series"
-    worst = np.maximum(worst, unitarity_defect(direct.matrix))
+        return (f"kernel decoupling (geometric series route skipped: {exc})",
+                composer.kernel_decoupling_check(s2, s1, wiring).max_residual)
+    return "star/series gap", max_abs(composer.star(s2, s1, wiring).matrix - series.matrix)
+
+
+def verify_barrier_sweep(sc: dict, out) -> list[tuple[str, float]]:
+    """Closed-form vs pipeline, series vs star, unitarity, CPTP."""
+    base, grid, _ = _sweep_inputs(sc)
+    sample = grid[:: max(1, len(grid) // 64)]
+    gap = physics.pipeline_gap(base, sample, physics.closed_form_amplitudes(base, sample))
+    checks = [(f"closed form checked against the pipeline at {sample.size} of "
+               f"{grid.size} grid points", float(np.max(gap)))]
+
+    e_mid = float(sample[len(sample) // 2])
+    b1 = physics.barrier_smatrix(base, e_mid)
+    checks.append(_series_check(physics.translated_barrier(b1, base.separation, e_mid), b1))
+
+    s_g = physics.barrier_lines(base, e_mid)["double"]
+    checks.append(("double-barrier unitarity defect", unitarity_defect(s_g.matrix)))
+
+    ch = channel.ErasureChannel(channel.transmission_operator(s_g, 1, 4))
+    comp = sum(k.conj().T @ k for k in channel.kraus_set(ch))
+    checks.append(("Kraus completeness", max_abs(comp - np.eye(ch.d))))
+    lowest = np.min(np.linalg.eigvalsh(channel.choi(ch)))
+    checks.append(("Choi negativity", float(np.maximum(-lowest, 0.0))))
+    return checks
+
+
+def verify_graph_contract(sc: dict, out) -> list[tuple[str, float]]:
+    s_g = contract(QuantumGraph.from_json(sc["graph"]))
+    return [("global S unitarity defect", unitarity_defect(s_g.matrix))]
+
+
+def verify_star_demo(sc: dict, out) -> list[tuple[str, float]]:
+    """Star vs geometric series (or the kernel decoupling of a loop the
+    series cannot sum), unitarity, and the expected transmission if given;
+    prints the transmission block."""
+    s2, s1, wiring = _star_inputs(sc)
+    direct = composer.star(s2, s1, wiring)
+    checks = [_series_check(s2, s1, wiring),
+              ("star unitarity defect", unitarity_defect(direct.matrix))]
     trans = direct.block("R", "L")
     print(f"transmission block:\n{np.array_str(trans, precision=12)}", file=out)
     if "expected_transmission" in sc:
         gap = abs(abs(trans[0, 0]) - float(sc["expected_transmission"]))
-        print(f"|transmission| deviation from expected: {gap:.3e}", file=out)
-        worst = np.maximum(worst, gap)
-    print(f"{label} + unitarity residual max: {worst:.3e}", file=out)
-    return worst
+        checks.append(("|transmission| deviation from expected", gap))
+    return checks
 
 
-# Each scenario kind: (run into an output directory, verify to a stream).
+# Each scenario kind: (run into an output directory, verify into named checks).
 SCENARIO_KINDS = {
     "barrier-sweep": (run_barrier_sweep, verify_barrier_sweep),
     "graph-contract": (run_graph_contract, verify_graph_contract),
@@ -348,10 +336,13 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     sc = load_scenario(args.scenario)
     _, verify = SCENARIO_KINDS[sc["kind"]]
-    worst = verify(sc, sys.stdout)
-    if not worst <= VERIFY_TOL:
-        print(f"FAIL: residual {worst:.3e} exceeds {VERIFY_TOL:.0e}", file=sys.stderr)
-        return 3
+    checks = verify(sc, sys.stdout)
+    for name, residual in checks:
+        print(f"{name}: {residual:.3e}")
+    for name, residual in checks:
+        if not residual <= VERIFY_TOL:  # a NaN fails too
+            print(f"FAIL: {name}: {residual:.3e} exceeds {VERIFY_TOL:.0e}", file=sys.stderr)
+            return 3
     print("all residuals within tolerance")
     return 0
 
@@ -379,7 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, InvalidInputError, KeyError) as exc:
+    except (InvalidInputError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScatchanError as exc:

@@ -33,7 +33,7 @@ Memory: a merge of two stacks writes its interface product, its round-trip
 term and its gate's temporaries to per-thread
 :func:`~scatchan.numerics.workspace` buffers (about five stacks of the
 largest shape the thread has merged), so a sweep of merges faults in no
-fresh pages.  Every result, loop inverse and loop matrix is a fresh array.
+fresh pages.  Every result and loop inverse is a fresh array.
 """
 
 from __future__ import annotations
@@ -136,14 +136,6 @@ def _interface_product(s2: ScatteringMatrix, s1: ScatteringMatrix):
     a, b = s2.matrix[..., :s2.spec.left_in * d], s1.matrix[..., s1.spec.left_out * d:, :]
     prod = np.matmul(a, b, out=workspace("interface", a.shape[:-1] + b.shape[-1:]))
     return prod, prod[..., :s2.spec.left_out * d, s1.spec.left_in * d:]
-
-
-def loop_matrix(s2: ScatteringMatrix, s1: ScatteringMatrix) -> np.ndarray:
-    """The loop matrix 1 - S2^{L,L} S1^{R,R} resumming internal reflections,
-    as :func:`star` inverts it (by LU where certified regular, else by SVD)."""
-    _validate_pair(s2, s1)
-    hop = _interface_product(s2, s1)[1]
-    return np.eye(hop.shape[-1]) - hop
 
 
 def _result_spec(s2: ScatteringMatrix, s1: ScatteringMatrix) -> PortSpec:

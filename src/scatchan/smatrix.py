@@ -121,7 +121,7 @@ class ScatteringMatrix:
             )
         if check and m.shape[-2] == m.shape[-1]:
             defect = unitarity_defect(m)
-            if defect > UNITARITY_TOL:
+            if not defect <= UNITARITY_TOL:  # a NaN fails too
                 raise NonUnitaryError(
                     f"max |S^dag S - 1| = {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
                 )

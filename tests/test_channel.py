@@ -90,6 +90,13 @@ class TestApply:
         with pytest.raises(InvalidInputError):
             ErasureChannel(1.5 * np.eye(2))
 
+    def test_overflowing_gram_is_rejected(self):
+        # M^dag M overflows, so 1 - M^dag M has NaN eigenvalues: the gate
+        # must fail on them, not compare them away.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidInputError, match="eigenvalue nan"):
+            ErasureChannel(np.array([[1e200, 1e200], [1e200, -1e200]]))
+
 
 class TestKraus:
     def test_unitary_m(self):

@@ -29,6 +29,14 @@ def small_sweep(tmp_path, **overrides):
     return str(path)
 
 
+# The named checks of verify, in the order it prints them.
+SWEEP_CHECKS = ["closed form checked against the pipeline at 65 of 20000 grid points",
+                "star/series gap", "double-barrier unitarity defect", "Kraus completeness",
+                "Choi negativity"]
+STAR_DEMO_CHECKS = ["star/series gap", "star unitarity defect",
+                    "|transmission| deviation from expected"]
+
+
 def pair_graph(s1, s2):
     """A graph-contract scenario: two 1x1-port vertices wired in a loop."""
     return {
@@ -90,6 +98,19 @@ class TestRun:
         assert "must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("unreadable", ["directory", "utf16-bom"])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, command, unreadable):
+        path = tmp_path / "scenario.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" + json.dumps({"kind": "star-demo"}).encode("utf-16-le"))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read scenario: ")
+        assert not out.exists()
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -135,7 +156,8 @@ class TestVerify:
         captured = capsys.readouterr()
         assert rc == 0
         assert "transmission" in captured.out
-        assert "star/series + unitarity residual max" in captured.out
+        assert "star/series gap: " in captured.out
+        assert "star unitarity defect: " in captured.out
         assert "within tolerance" in captured.out
 
     @staticmethod
@@ -156,14 +178,16 @@ class TestVerify:
         assert cli.main(["--out", str(tmp_path), "run", path]) == 0
         capsys.readouterr()
         assert cli.main(["--out", str(tmp_path), "verify", path]) == 0
-        out = capsys.readouterr().out
-        assert "geometric series route skipped" in out
-        assert "kernel decoupling residual max: 0.000e+00" in out
-        assert "kernel decoupling + unitarity residual max" in out
+        lines = capsys.readouterr().out.splitlines()
+        skipped = [ln for ln in lines if "geometric series route skipped" in ln]
+        assert len(skipped) == 1
+        assert skipped[0].startswith("kernel decoupling (")
+        assert skipped[0].endswith("): 0.000e+00")
+        assert "star unitarity defect: 0.000e+00" in lines
 
     @pytest.mark.parametrize("factor, route", [
-        (np.array([[0.0, 1.0], [1.0, 0.0]]), "star/series"),
-        (np.eye(2), "kernel decoupling"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "star/series gap: "),
+        (np.eye(2), "kernel decoupling (geometric series route skipped: "),
     ], ids=["transparent", "mirror"])
     def test_non_unitary_pair_exits_3(self, tmp_path, capsys, factor, route):
         # Scaled by 1 + 2e-9, a defect of ~4e-9: within the 1e-8 gate of
@@ -171,8 +195,9 @@ class TestVerify:
         path = self.star_scenario(tmp_path, (1 + 2e-9) * factor, factor)
         assert cli.main(["--out", str(tmp_path), "verify", path]) == 3
         captured = capsys.readouterr()
-        assert f"{route} + unitarity residual max: 4.000e-09" in captured.out
-        assert "FAIL: residual 4.000e-09" in captured.err
+        assert route in captured.out
+        assert "star unitarity defect: 4.000e-09" in captured.out.splitlines()
+        assert "FAIL: star unitarity defect: 4.000e-09" in captured.err
 
     def test_barrier_sweep(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "verify", small_sweep(tmp_path)])
@@ -208,6 +233,74 @@ class TestVerify:
         path = tmp_path / "wrong.json"
         path.write_text(json.dumps(sc))
         assert cli.main(["--out", str(tmp_path), "verify", str(path)]) == 3
+
+    @pytest.mark.parametrize("name, checks", [
+        ("fig2_eps0.json", SWEEP_CHECKS),
+        ("fig2_eps01.json", SWEEP_CHECKS),
+        ("lossless.json", SWEEP_CHECKS),
+        ("star_demo.json", STAR_DEMO_CHECKS),
+    ])
+    def test_bundled_scenario_prints_one_line_per_check(self, tmp_path, capsys, name, checks):
+        assert cli.main(["--out", str(tmp_path), "verify", scenario_path(name)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "all residuals within tolerance"
+        printed = [line.rsplit(": ", 1) for line in lines[-1 - len(checks):-1]]
+        assert [check for check, _ in printed] == checks
+        assert all(0.0 <= float(residual) <= cli.VERIFY_TOL for _, residual in printed)
+        if name == "star_demo.json":
+            assert lines[:-1 - len(checks)] == ["transmission block:", "[[0.333333333333+0.j]]"]
+        else:
+            assert len(lines) == len(checks) + 1
+
+    @pytest.mark.parametrize("kind, index", [
+        *(("sweep", i) for i in range(len(SWEEP_CHECKS))),
+        *(("star", i) for i in range(len(STAR_DEMO_CHECKS))),
+        ("graph", 0),
+    ])
+    def test_nan_in_any_check_exits_3_and_names_it(self, tmp_path, capsys, monkeypatch,
+                                                   kind, index):
+        if kind == "sweep":
+            path = small_sweep(tmp_path)
+        elif kind == "star":
+            path = scenario_path("star_demo.json")
+        else:
+            rng = np.random.default_rng(0)
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(pair_graph(random_smatrix(rng, 1, 1),
+                                                  random_smatrix(rng, 1, 1))))
+        sc = cli.load_scenario(str(path))
+        run, verify = cli.SCENARIO_KINDS[sc["kind"]]
+        names = []
+
+        def verify_with_a_nan(sc, out):
+            checks = verify(sc, out)
+            names.extend(name for name, _ in checks)
+            checks[index] = (checks[index][0], float("nan"))
+            return checks
+
+        monkeypatch.setitem(cli.SCENARIO_KINDS, sc["kind"], (run, verify_with_a_nan))
+        assert cli.main(["--out", str(tmp_path), "verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert f"{names[index]}: nan" in captured.out.splitlines()
+        assert "within tolerance" not in captured.out
+        assert captured.err == f"FAIL: {names[index]}: nan exceeds 1e-09\n"
+
+    def test_nan_pipeline_gap_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(physics, "pipeline_gap",
+                            lambda base, energies, closed: np.full(energies.shape, np.nan))
+        assert cli.main(["--out", str(tmp_path), "verify", small_sweep(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "FAIL: closed form checked against the pipeline at 75 of 300 grid points: "
+            "nan exceeds 1e-09\n")
+
+    def test_nan_series_gap_exits_3(self, tmp_path, capsys, monkeypatch):
+        def nan_series(s2, s1, wiring=None, tol=1e-14):
+            direct = composer.star(s2, s1, wiring)
+            return ScatteringMatrix._trusted(np.full_like(direct.matrix, np.nan), direct.spec)
+
+        monkeypatch.setattr(composer, "star_via_series", nan_series)
+        assert cli.main(["--out", str(tmp_path), "verify", scenario_path("star_demo.json")]) == 3
+        assert capsys.readouterr().err == "FAIL: star/series gap: nan exceeds 1e-09\n"
 
 
 def test_star_subcommand_is_gone(tmp_path, capsys):

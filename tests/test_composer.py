@@ -5,7 +5,6 @@ from scatchan import composer, numerics
 from scatchan.composer import (
     Wiring,
     kernel_decoupling_check,
-    loop_matrix,
     pad_to_homogeneous,
     extract_physical,
     star,
@@ -44,6 +43,13 @@ def phase_reflector(alpha, beta):
     return ScatteringMatrix(np.diag([np.exp(1j * alpha), np.exp(1j * beta)]), SPEC11)
 
 
+def loop_matrix(s2, s1):
+    """The loop matrix 1 - S2_LL S1_RR that star inverts, formed from its
+    interface product."""
+    hop = composer._interface_product(s2, s1)[1]
+    return np.eye(hop.shape[-1]) - hop
+
+
 class TestLoopMatrix:
     def test_swap_pair(self):
         assert np.allclose(loop_matrix(SWAP, SWAP), [[1.0]])
@@ -62,7 +68,7 @@ class TestLoopMatrix:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError):
-            loop_matrix(random_smatrix(rng, 2, 1), SWAP)
+            composer._validate_pair(random_smatrix(rng, 2, 1), SWAP)
 
 
 class TestStar:

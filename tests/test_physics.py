@@ -572,7 +572,9 @@ class TestLoudFailures:
             energy_sweep(base, np.linspace(0.1, 0.9, 5), cross_check_every=1)
         scenario = str(files("scatchan") / "scenarios" / "fig2_eps0.json")
         assert cli.main(["verify", scenario]) == 3
-        assert "FAIL: residual nan" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "FAIL: closed form checked against the pipeline at 65 of 20000 grid points: "
+            "nan exceeds 1e-09\n")
 
     def test_pipeline_gap_keeps_one_nan_entry(self):
         base = BarrierParams(0.5, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
@@ -598,4 +600,6 @@ class TestLoudFailures:
             energy_sweep(base, np.linspace(0.1, 0.9, 5), cross_check_every=1)
         scenario = str(files("scatchan") / "scenarios" / "fig2_eps0.json")
         assert cli.main(["verify", scenario]) == 3
-        assert "FAIL: residual 1.000e-06" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "FAIL: closed form checked against the pipeline at 65 of 20000 grid points: "
+            "1.000e-06 exceeds 1e-09\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scatchan import smatrix
 from scatchan.errors import (
     ConversionUnavailableError,
     InvalidInputError,
@@ -59,6 +60,12 @@ class TestConstruction:
     def test_nonunitary_rejected(self):
         with pytest.raises(NonUnitaryError):
             ScatteringMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]), SPEC11)
+
+    def test_nan_defect_rejected(self, monkeypatch):
+        monkeypatch.setattr(smatrix, "unitarity_defect", lambda m: float("nan"))
+        with pytest.raises(NonUnitaryError, match="nan"):
+            ScatteringMatrix(SWAP, SPEC11)
+        ScatteringMatrix(SWAP, SPEC11, check=False)  # the unchecked path measures nothing
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
