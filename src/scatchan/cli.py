@@ -5,10 +5,11 @@ Subcommands:
   verify <scenario.json>  run the oracle cross-checks, print one
                           "name: residual" line per named check
 
-Exit codes: 0 success, 2 malformed scenario or unreadable file, 3 numerical
-consistency failure.  ``verify`` has one gate: it exits 3, naming the first
-failing check on stderr, if any residual is not within VERIFY_TOL (a NaN
-residual fails).  Output bytes are deterministic for identical inputs.
+Exit codes: 0 success, 2 malformed scenario, unreadable scenario file or
+unwritable output, 3 numerical consistency failure.  ``verify`` has one
+gate: it exits 3, naming the first failing check on stderr, if any residual
+is not within VERIFY_TOL (a NaN residual fails).  Output bytes are
+deterministic for identical inputs.
 --threads is accepted for compatibility; sweeps run in one thread.
 Importing this module sets OPENBLAS_NUM_THREADS=1 unless the variable is
 already set, so the CLI runs numpy's BLAS in one thread; a plain ``import
@@ -199,10 +200,13 @@ def _sweep_inputs(sc: dict):
 
 def _write(out_dir: str, filename: str, text: str) -> str:
     """Write one artifact (LF line ends) into ``out_dir``; returns its path."""
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -302,13 +306,18 @@ def verify_star_demo(sc: dict, out) -> list[tuple[str, float]]:
     series cannot sum), unitarity, and the expected transmission if given;
     prints the transmission block."""
     s2, s1, wiring = _star_inputs(sc)
+    try:
+        expected = (float(sc["expected_transmission"])
+                    if "expected_transmission" in sc else None)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"non-numeric expected_transmission: {exc}") from exc
     direct = composer.star(s2, s1, wiring)
     checks = [_series_check(s2, s1, wiring),
               ("star unitarity defect", unitarity_defect(direct.matrix))]
     trans = direct.block("R", "L")
     print(f"transmission block:\n{np.array_str(trans, precision=12)}", file=out)
-    if "expected_transmission" in sc:
-        gap = abs(abs(trans[0, 0]) - float(sc["expected_transmission"]))
+    if expected is not None:
+        gap = abs(abs(trans[0, 0]) - expected)
         checks.append(("|transmission| deviation from expected", gap))
     return checks
 

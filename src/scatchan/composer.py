@@ -12,7 +12,10 @@ pseudo-inverse, and the SVD pseudo-inverse serves the rest.  The
 Kostrykin-Schrader decoupling check runs only when the physical loop is
 singular.  The paper's padding with fictitious identity-routed edges, each
 of which pins a loop eigenvalue at exactly 1, is kept as an oracle
-(:func:`star_via_padding`).
+(:func:`star_via_padding`): a factor is padded as the direct sum S + 1
+moved into place by :meth:`~scatchan.smatrix.ScatteringMatrix.permuted`,
+and the physical block is extracted by the inverse permutation and a block
+slice.
 
 Every function here takes one scattering matrix or two stacks of equal
 leading shape (one matrix per energy of a sweep, say) through the same code:
@@ -109,23 +112,23 @@ def _validate_pair(s2: ScatteringMatrix, s1: ScatteringMatrix,
     return s2 if wiring is None else _apply_wiring(s2, s1, wiring)
 
 
+def _pairing(pairs, n: int, name: str) -> list:
+    """The far slots of (near slot, far slot) ``pairs`` in near-slot order;
+    raises unless the sorted pairs list every near slot 0..n-1 once and
+    their far slots form a permutation."""
+    pairs = sorted(pairs)
+    if [a for a, _ in pairs] != list(range(n)) or sorted(b for _, b in pairs) != list(range(n)):
+        raise InvalidInputError(f"{name} wiring is not a bijection on interface slots")
+    return [b for _, b in pairs]
+
+
 def _apply_wiring(s2: ScatteringMatrix, s1: ScatteringMatrix, wiring: Wiring):
     """Permute s2's interface slots so the wiring becomes the identity."""
     m12, m21 = s1.spec.right_out, s1.spec.right_in
-    fwd = dict(wiring.s1_to_s2)
-    bwd = dict(wiring.s2_to_s1)
-    if sorted(fwd) != list(range(m12)) or sorted(fwd.values()) != list(range(m12)):
-        raise InvalidInputError("s1_to_s2 wiring is not a bijection on interface slots")
-    rev = {r: l for l, r in wiring.s2_to_s1}
-    if sorted(rev) != list(range(m21)) or sorted(rev.values()) != list(range(m21)):
-        raise InvalidInputError("s2_to_s1 wiring is not a bijection on interface slots")
-    in_slots = [fwd[q] for q in range(m12)] + list(
-        range(m12, s2.spec.total_in)
-    )
-    out_slots = [rev[q] for q in range(m21)] + list(
-        range(m21, s2.spec.total_out)
-    )
-    return s2.permuted(in_slots, out_slots)
+    in_slots = _pairing(wiring.s1_to_s2, m12, "s1_to_s2")
+    out_slots = _pairing([(r, l) for l, r in wiring.s2_to_s1], m21, "s2_to_s1")
+    return s2.permuted(in_slots + list(range(m12, s2.spec.total_in)),
+                       out_slots + list(range(m21, s2.spec.total_out)))
 
 
 def _interface_product(s2: ScatteringMatrix, s1: ScatteringMatrix):
@@ -170,11 +173,25 @@ def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray,
     return ScatteringMatrix._trusted(matrix, spec)
 
 
+def _padded_slots(spec: PortSpec, k: int):
+    """Positions of the physical in- and out-slots of ``spec`` among the
+    2*k slots of its padding to k slots per group: each group keeps its
+    physical slots first."""
+    return ([*range(spec.left_in), *range(k, k + spec.right_in)],
+            [*range(spec.left_out), *range(k, k + spec.right_out)])
+
+
+def _to_front(slots, n: int) -> list:
+    """The permutation of range(n) that lists ``slots`` first, then the rest."""
+    return slots + [p for p in range(n) if p not in slots]
+
+
 def pad_to_homogeneous(s: ScatteringMatrix, target_k: int) -> ScatteringMatrix:
     """Embed into a 2*target_k-slot homogeneous scatterer.
 
-    Fictitious in-slots are routed one-to-one onto fictitious out-slots via
-    identity blocks, appended after the physical slots of each group.
+    The direct sum S + 1, with one identity routing the fictitious in-slots
+    one-to-one onto the fictitious out-slots, is permuted so that the
+    fictitious slots follow the physical slots of each group.
     """
     spec = s.spec
     counts = (spec.left_in, spec.left_out, spec.right_in, spec.right_out)
@@ -184,27 +201,14 @@ def pad_to_homogeneous(s: ScatteringMatrix, target_k: int) -> ScatteringMatrix:
         )
     if spec.homogeneous and spec.left_in == target_k:
         return s
-    d = spec.dim
-    k = target_k
-    out = np.zeros(s.matrix.shape[:-2] + (2 * k * d, 2 * k * d), dtype=complex)
-
-    # Padded flat positions of the original slots.
-    phys_in = list(range(spec.left_in)) + [k + j for j in range(spec.right_in)]
-    phys_out = list(range(spec.left_out)) + [k + j for j in range(spec.right_out)]
-    rows = np.concatenate(
-        [np.arange(p * d, (p + 1) * d) for p in phys_out]
-    ) if phys_out else np.array([], dtype=int)
-    cols = np.concatenate(
-        [np.arange(p * d, (p + 1) * d) for p in phys_in]
-    ) if phys_in else np.array([], dtype=int)
-    out[(Ellipsis, *np.ix_(rows, cols))] = s.matrix
-
-    fict_in = list(range(spec.left_in, k)) + [k + j for j in range(spec.right_in, k)]
-    fict_out = list(range(spec.left_out, k)) + [k + j for j in range(spec.right_out, k)]
-    for p_in, p_out in zip(fict_in, fict_out):
-        out[..., p_out * d:(p_out + 1) * d, p_in * d:(p_in + 1) * d] = np.eye(d)
-
-    return ScatteringMatrix._trusted(out, PortSpec(k, k, k, k, d))
+    k, n = target_k, 2 * target_k * spec.dim
+    out = np.zeros(s.matrix.shape[:-2] + (n, n), dtype=complex)
+    out[..., :spec.out_dim, :spec.in_dim] = s.matrix
+    out[..., spec.out_dim:, spec.in_dim:] = np.eye(n - spec.in_dim)
+    # Direct-sum slot i goes to padded position _to_front(...)[i].
+    phys_in, phys_out = _padded_slots(spec, k)
+    return ScatteringMatrix._trusted(out, PortSpec(k, k, k, k, spec.dim)).permuted(
+        np.argsort(_to_front(phys_in, 2 * k)), np.argsort(_to_front(phys_out, 2 * k)))
 
 
 def extract_physical(
@@ -217,31 +221,22 @@ def extract_physical(
 
     ``in_slots``/``out_slots`` are the flat physical slot indices of
     ``s_bar``; ``spec`` is the port partition of the physical result.
-    Raises when physical and fictitious slots fail to decouple.
+    The physical slots are permuted to the front and the leading block is
+    returned.  Raises when physical and fictitious slots fail to decouple.
     """
-    d = s_bar.spec.dim
     in_slots, out_slots = list(in_slots), list(out_slots)
     if len(in_slots) != spec.total_in or len(out_slots) != spec.total_out:
         raise InvalidInputError("physical slot labels do not match result spec")
-    cols = np.concatenate([np.arange(p * d, (p + 1) * d) for p in in_slots])
-    rows = np.concatenate([np.arange(p * d, (p + 1) * d) for p in out_slots])
-    col_mask = np.ones(s_bar.spec.in_dim, dtype=bool)
-    col_mask[cols] = False
-    row_mask = np.ones(s_bar.spec.out_dim, dtype=bool)
-    row_mask[rows] = False
-    fict_cols = np.flatnonzero(col_mask)
-    fict_rows = np.flatnonzero(row_mask)
-    m = s_bar.matrix
-    cross = np.maximum(
-        max_abs(m[(Ellipsis, *np.ix_(rows, fict_cols))]),
-        max_abs(m[(Ellipsis, *np.ix_(fict_rows, cols))]),
-    )
+    m = s_bar.permuted(_to_front(in_slots, s_bar.spec.total_in),
+                       _to_front(out_slots, s_bar.spec.total_out)).matrix
+    rows, cols = len(out_slots) * s_bar.spec.dim, len(in_slots) * s_bar.spec.dim
+    cross = np.maximum(max_abs(m[..., :rows, cols:]), max_abs(m[..., rows:, :cols]))
     if not cross <= DECOUPLING_TOL:
         raise DecouplingViolationError(
             f"physical/fictitious cross-coupling {cross:.3e} exceeds "
             f"{DECOUPLING_TOL:.0e}"
         )
-    return ScatteringMatrix._trusted(m[(Ellipsis, *np.ix_(rows, cols))], spec)
+    return ScatteringMatrix._trusted(m[..., :rows, :cols].copy(), spec)
 
 
 @dataclass(frozen=True)
@@ -371,9 +366,7 @@ def star_via_padding(
     )
     bar_g = star(pad_to_homogeneous(s2, k_bar), pad_to_homogeneous(s1, k_bar))
     spec = _result_spec(s2, s1)
-    in_slots = list(range(spec.left_in)) + [k_bar + j for j in range(spec.right_in)]
-    out_slots = list(range(spec.left_out)) + [k_bar + j for j in range(spec.right_out)]
-    return extract_physical(bar_g, in_slots, out_slots, spec)
+    return extract_physical(bar_g, *_padded_slots(spec, k_bar), spec)
 
 
 def star_via_series(
@@ -393,7 +386,7 @@ def star_via_series(
     """
     s2 = _validate_pair(s2, s1, wiring)
     prod, hop = _interface_product(s2, s1)
-    if hop.shape[-1] and operator_norm(hop) >= 1.0:
+    if operator_norm(hop) >= 1.0:
         raise SeriesDivergentError(
             "geometric series diverges: ||S2^{L,L} S1^{R,R}|| >= 1"
         )

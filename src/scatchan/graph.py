@@ -84,11 +84,6 @@ def _topology_problems(vertex_specs, internal_edges, dangling_in, dangling_out):
         errors.append(f"vertices disagree on internal dimension: {sorted(dims)}")
 
     for vid, spec in specs.items():
-        if spec.total_in != spec.total_out:
-            errors.append(
-                f"vertex {vid}: {spec.total_in} in-slots vs "
-                f"{spec.total_out} out-slots"
-            )
         if spec.total_in == 0:
             errors.append(f"vertex {vid} has no ports at all")
 

@@ -108,8 +108,8 @@ class ScatteringMatrix:
     """A scattering matrix together with its port partition.
 
     Immutable after construction; the underlying array is write-locked.
-    The checked constructor rejects a square matrix (for a stack: any row)
-    whose unitarity defect exceeds ``UNITARITY_TOL``.
+    The checked constructor rejects a matrix (for a stack: any row) whose
+    unitarity defect exceeds ``UNITARITY_TOL``.
     """
 
     def __init__(self, matrix, spec: PortSpec, check: bool = True):
@@ -119,7 +119,7 @@ class ScatteringMatrix:
                 f"matrix shape {m.shape} does not match spec "
                 f"({spec.out_dim}, {spec.in_dim})"
             )
-        if check and m.shape[-2] == m.shape[-1]:
+        if check:
             defect = unitarity_defect(m)
             if not defect <= UNITARITY_TOL:  # a NaN fails too
                 raise NonUnitaryError(

@@ -395,6 +395,38 @@ class TestScenarioBoundary:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_conflicting_wiring_pairs_exit_2(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(8)
+        sc = {"kind": "star-demo", "name": "conflict",
+              "s1": random_smatrix(rng, 2, 1).to_json(),
+              "s2": random_smatrix(rng, 2, 1).to_json(),
+              "wiring": {"s1_to_s2": [[0, 1], [0, 0], [1, 1]], "s2_to_s1": [[0, 0], [1, 1]]}}
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(sc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), command, str(path)]) == 2
+        assert "error: s1_to_s2 wiring is not a bijection" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", None])
+    def test_non_numeric_expected_transmission_exits_2(self, tmp_path, capsys, value):
+        sc = json.loads((SCENARIOS / "star_demo.json").read_text())
+        sc["expected_transmission"] = value
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps(sc))
+        assert cli.main(["--out", str(tmp_path), "verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: non-numeric expected_transmission")
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_not_a_directory_exits_2(self, tmp_path, capsys, under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under_file else blocker
+        assert cli.main(["--out", str(out), "run", scenario_path("star_demo.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert blocker.read_text() == "kept"
+
     def test_markup_in_name_is_escaped(self, tmp_path):
         name = "a&b<c"
         assert cli.main(["--out", str(tmp_path), "run", small_sweep(tmp_path, name=name)]) == 0

@@ -70,6 +70,17 @@ class TestLoopMatrix:
         with pytest.raises(InvalidInputError):
             composer._validate_pair(random_smatrix(rng, 2, 1), SWAP)
 
+    def test_internal_dimensions_must_agree(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(InvalidInputError, match="internal dimensions differ"):
+            composer._validate_pair(random_smatrix(rng, 1, 2), SWAP)
+
+    def test_right_in_must_match_left_out(self):
+        rng = np.random.default_rng(2)
+        s2 = ScatteringMatrix(random_unitary(rng, 3), PortSpec(1, 2, 2, 1, 1))
+        with pytest.raises(InvalidInputError, match="1 right-in slots but s2 has 2 left-out"):
+            composer._validate_pair(s2, SWAP)
+
 
 class TestStar:
     def test_swap_star_swap(self):
@@ -202,6 +213,30 @@ class TestExtraction:
         s_bar = ScatteringMatrix(m, PortSpec(2, 2, 2, 2, 1), check=False)
         with pytest.raises(DecouplingViolationError):
             extract_physical(s_bar, [0, 1], [0, 1], PortSpec(1, 1, 1, 1, 1))
+
+
+class TestSlotLabels:
+    """Wiring pairs and extraction labels that do not name each slot once
+    are input errors, rejected before any slot moves."""
+
+    @pytest.mark.parametrize("compose", [star, star_via_series, star_via_padding])
+    def test_conflicting_wiring_pairs_rejected(self, compose):
+        rng = np.random.default_rng(7)
+        s1, s2 = random_smatrix(rng, 2, 1), random_smatrix(rng, 2, 1)
+        conflicting = Wiring(((0, 1), (0, 0), (1, 1)), ((0, 0), (1, 1)))
+        with pytest.raises(InvalidInputError, match="s1_to_s2 wiring is not a bijection"):
+            compose(s2, s1, conflicting)
+
+    @pytest.mark.parametrize("in_slots", [[0, 0], [0, 7]], ids=["repeated", "out-of-range"])
+    def test_extraction_labels_must_name_distinct_slots(self, in_slots):
+        s_bar = ScatteringMatrix(np.eye(4), PortSpec(2, 2, 2, 2, 1))
+        with pytest.raises(InvalidInputError, match="in_slots is not a permutation"):
+            extract_physical(s_bar, in_slots, [0, 1], SPEC11)
+
+    def test_extraction_label_count_must_match_spec(self):
+        s_bar = ScatteringMatrix(np.eye(4), PortSpec(2, 2, 2, 2, 1))
+        with pytest.raises(InvalidInputError, match="do not match result spec"):
+            extract_physical(s_bar, [0], [0, 1], SPEC11)
 
 
 class TestDirectVersusPadded:

@@ -92,6 +92,58 @@ class TestValidate:
         assert any("unknown vertex 9" in p for p in validate(g))
 
 
+class TestRejectedTopologies:
+    """Each topology check reached through :func:`contract`, which raises
+    with the list of violations."""
+
+    @staticmethod
+    def unwired(vertices, dangling_in, dangling_out):
+        return QuantumGraph.build(vertices, [], dangling_in, dangling_out)
+
+    def test_duplicate_vertex_ids(self):
+        g = self.unwired([(1, SWAP2), (1, SWAP2)], [(1, 0), (1, 1)], [(1, 0), (1, 1)])
+        with pytest.raises(InvalidInputError, match="duplicate vertex ids"):
+            contract(g)
+
+    def test_vertices_disagree_on_dim(self):
+        rng = np.random.default_rng(21)
+        g = two_vertex_loop(SWAP2, random_smatrix(rng, 1, 2))
+        with pytest.raises(InvalidInputError, match="disagree on internal dimension"):
+            contract(g)
+
+    def test_vertex_without_ports(self):
+        empty = ScatteringMatrix(np.zeros((0, 0)), PortSpec(0, 0, 0, 0, 1))
+        g = self.unwired([(1, SWAP2), (2, empty)], [(1, 0), (1, 1)], [(1, 0), (1, 1)])
+        with pytest.raises(InvalidInputError, match="vertex 2 has no ports at all"):
+            contract(g)
+
+    def test_slot_out_of_range(self):
+        g = self.unwired([(1, SWAP2)], [(1, 0), (1, 5)], [(1, 0), (1, 1)])
+        with pytest.raises(InvalidInputError, match="slot 5 out of range on vertex 1"):
+            contract(g)
+
+    def test_unclaimed_out_slot(self):
+        g = self.unwired([(1, SWAP2)], [(1, 0), (1, 1)], [(1, 0)])
+        with pytest.raises(InvalidInputError,
+                           match=r"out-slot \(1, 1\) is neither wired nor dangling"):
+            contract(g)
+
+    def test_order_names_unavailable_vertex(self):
+        g = two_vertex_loop(SWAP2, SWAP2)
+        with pytest.raises(InvalidInputError, match=r"contraction pair \(1, 9\) not available"):
+            contract(g, order=[(1, 9)])
+
+    def test_order_pairs_vertex_with_itself(self):
+        g = two_vertex_loop(SWAP2, SWAP2)
+        with pytest.raises(InvalidInputError, match="cannot contract vertex 1 with itself"):
+            contract(g, order=[(1, 1)])
+
+    def test_order_leaves_components_unmerged(self):
+        g = three_vertex_graph(np.random.default_rng(22))
+        with pytest.raises(InvalidInputError, match="left 2 components unmerged"):
+            contract(g, order=[(1, 2)])
+
+
 class TestContract:
     def test_single_vertex_is_identity_operation(self):
         rng = np.random.default_rng(20)

@@ -1,6 +1,7 @@
 import scatchan
 
-REMOVED = ("single_barrier_m", "double_barrier_m", "SpinChannelPair", "new_scattering")
+REMOVED = ("single_barrier_m", "double_barrier_m", "SpinChannelPair", "new_scattering",
+           "loop_matrix")
 
 
 def test_exports_resolve_and_removed_names_are_gone():
