@@ -7,7 +7,9 @@ Each ``LABEL=SRC_DIR`` names a source tree (the directory that holds the
 are measured in one session, in ``REPEATS`` rounds that alternate their
 order, so that a parent and a change can be compared on the same machine
 state.  Each round runs every child below once per tree, and each row is
-the best of its ``time.perf_counter`` samples over all rounds:
+the best of its ``time.perf_counter`` samples over all rounds; beside it,
+``quartiles`` holds each row's 25th, 50th and 75th percentiles over the
+rounds, the spread against which a ratio of two trees is read:
 
 * ``run_s``, ``verify_s``: ``python -m scatchan.cli --threads 1 run`` and
   ``... verify`` of the tree's ``fig2_eps0.json``, as child processes;
@@ -222,6 +224,9 @@ def measure(trees: dict) -> dict:
             results[label]["artifacts"] = _artifacts(Path(tmp) / label)
     for label in trees:
         results[label].update({row: min(v) for row, v in samples[label].items()})
+        results[label]["quartiles"] = {
+            row: [float(q) for q in np.percentile(v, [25, 50, 75])]
+            for row, v in samples[label].items()}
         results[label]["pipeline_200_minflt"] = float(np.median(samples[label]["pipeline_200_minflt"]))
     return results
 
@@ -257,7 +262,8 @@ def main(argv=None) -> int:
     }
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for label, res in trees_out.items():
-        print(label, " ".join(f"{row}={res[row]:.4f}" for row in ROWS))
+        print(label, " ".join(f"{row}={res[row]:.4f} (q1-q3 {res['quartiles'][row][0]:.4f}"
+                              f"-{res['quartiles'][row][2]:.4f})" for row in ROWS))
     return 0
 
 

@@ -5,6 +5,11 @@ Subcommands:
   verify <scenario.json>  run the oracle cross-checks, print one
                           "name: residual" line per named check
 
+The scenario format is read and written in one section of this module:
+``whole_number``, the readers ``read_scattering``, ``read_wiring`` and
+``read_graph``, and the writer ``scattering_json``; the library modules
+never see JSON.
+
 Exit codes: 0 success, 2 malformed scenario, unreadable scenario file or
 unwritable output, 3 numerical consistency failure.  ``verify`` has one
 gate: it exits 3, naming the first failing check on stderr, if any residual
@@ -27,16 +32,19 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import channel, composer, physics
 from .errors import InvalidInputError, ScatchanError, SeriesDivergentError
 from .graph import QuantumGraph, contract
-from .numerics import max_abs, whole_number
-from .smatrix import ScatteringMatrix, unitarity_defect
+from .numerics import max_abs
+from .smatrix import PortSpec, ScatteringMatrix, unitarity_defect
 
 VERIFY_TOL = 1e-9
 MAX_GRID_POINTS = 10**6
@@ -156,6 +164,88 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The scenario format: one reader of each object, one writer
+
+
+@contextmanager
+def _decoding(problem: str):
+    """Report a KeyError, TypeError, ValueError, OverflowError or
+    AttributeError met while decoding as ``InvalidInputError("<problem>: ...")``."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{problem}: {exc}") from exc
+
+
+def whole_number(value, name: str, least: float = 0, most: float = math.inf) -> int:
+    """A whole-number field of a JSON document (not a bool) in [``least``,
+    ``most``]: the one parser of counts, ids and slots, so that 1.7 or
+    ``true`` is rejected rather than truncated."""
+    try:
+        n = float(value)
+    except (TypeError, ValueError, OverflowError):
+        n = math.nan
+    if isinstance(value, bool) or not n.is_integer() or not least <= n <= most:
+        raise InvalidInputError(
+            f"{name} must be a whole number in [{least}, {most}], got {value!r}")
+    return int(value) if isinstance(value, int) else int(n)
+
+
+@_decoding("malformed scattering matrix")
+def read_scattering(obj) -> ScatteringMatrix:
+    """``{"spec": {<four slot counts>, "dim" (default 1)}, "matrix": {"rows": n,
+    "cols": m, "data": [[re, im], ...]}}`` (row-major), gated on unitarity."""
+    counts = obj["spec"]
+    spec = PortSpec(*(whole_number(counts[key], key)
+                      for key in ("left_in", "left_out", "right_in", "right_out")),
+                    whole_number(counts.get("dim", 1), "dim", 1))
+    literal = obj["matrix"]
+    rows, cols = whole_number(literal["rows"], "rows"), whole_number(literal["cols"], "cols")
+    entries = [complex(re, im) for re, im in literal["data"]]
+    if len(entries) != rows * cols:
+        raise InvalidInputError(
+            f"matrix literal has {len(entries)} entries, expected {rows * cols}")
+    return ScatteringMatrix(np.array(entries, dtype=complex).reshape(rows, cols), spec)
+
+
+@_decoding("malformed wiring")
+def read_wiring(obj) -> composer.Wiring:
+    """``{"s1_to_s2": [[slot, slot], ...], "s2_to_s1": [...]}``."""
+    return composer.Wiring(*(
+        tuple((whole_number(a, "wiring slot"), whole_number(b, "wiring slot"))
+              for a, b in obj[key])
+        for key in ("s1_to_s2", "s2_to_s1")
+    ))
+
+
+@_decoding("malformed graph")
+def read_graph(obj) -> QuantumGraph:
+    """``{"vertices": [{"id": .., "smatrix": ..}, ...], "edges": [[port, port], ...]}``
+    with "dangling_in" and "dangling_out" lists of ports; a port is [vertex id, slot]."""
+    def vertex_id(v):
+        return whole_number(v, "vertex id", -math.inf)
+
+    def port(p):
+        vid, slot = p
+        return vertex_id(vid), whole_number(slot, "slot")
+
+    vertices = [(vertex_id(v["id"]), read_scattering(v["smatrix"])) for v in obj["vertices"]]
+    edges = [(port(a), port(b)) for a, b in obj["edges"]]
+    din = [port(p) for p in obj["dangling_in"]]
+    dout = [port(p) for p in obj["dangling_out"]]
+    return QuantumGraph.build(vertices, edges, din, dout)
+
+
+def scattering_json(s: ScatteringMatrix) -> dict:
+    """The document of one scattering matrix, which :func:`read_scattering`
+    reads back exactly."""
+    rows, cols = s.matrix.shape
+    data = [[float(z.real), float(z.imag)] for z in s.matrix.ravel()]
+    return {"spec": dataclasses.asdict(s.spec),
+            "matrix": {"rows": rows, "cols": cols, "data": data}}
+
+
+# ---------------------------------------------------------------------------
 # Scenario handling
 
 
@@ -181,7 +271,7 @@ def load_scenario(path: str) -> dict:
 
 def _sweep_inputs(sc: dict):
     """The arguments (base, grid, cross_check_every) of :func:`physics.energy_sweep`."""
-    try:
+    with _decoding("non-numeric scenario field"):
         grid = sc.get("grid", {})
         start = float(grid.get("start", 0.005))
         stop = float(grid.get("stop", 2.0))
@@ -189,8 +279,6 @@ def _sweep_inputs(sc: dict):
         every = whole_number(sc.get("cross_check_every", 100), "cross_check_every")
         params = {key: float(sc[key]) for key in ("half_width", "separation")}
         params.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"non-numeric scenario field: {exc}") from exc
     if not (np.isfinite(stop) and 0 < start < stop):
         raise InvalidInputError(f"bad grid range ({start}, {stop})")
     # energy_ratio is a placeholder; the sweep substitutes per-point values
@@ -240,20 +328,20 @@ def run_barrier_sweep(sc: dict, out_dir: str) -> list[str]:
 
 
 def run_graph_contract(sc: dict, out_dir: str) -> list[str]:
-    s_g = contract(QuantumGraph.from_json(sc["graph"]))
-    return [_write(out_dir, f"{sc['name']}_global.json", _json_text(s_g.to_json()))]
+    s_g = contract(read_graph(sc["graph"]))
+    return [_write(out_dir, f"{sc['name']}_global.json", _json_text(scattering_json(s_g)))]
 
 
 def _star_inputs(sc: dict):
-    s1 = ScatteringMatrix.from_json(sc["s1"])
-    s2 = ScatteringMatrix.from_json(sc["s2"])
-    wiring = composer.Wiring.from_json(sc["wiring"]) if "wiring" in sc else None
+    s1 = read_scattering(sc["s1"])
+    s2 = read_scattering(sc["s2"])
+    wiring = read_wiring(sc["wiring"]) if "wiring" in sc else None
     return s2, s1, wiring
 
 
 def run_star_demo(sc: dict, out_dir: str) -> list[str]:
     result = composer.star(*_star_inputs(sc))
-    return [_write(out_dir, f"{sc['name']}_star.json", _json_text(result.to_json()))]
+    return [_write(out_dir, f"{sc['name']}_star.json", _json_text(scattering_json(result)))]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +385,7 @@ def verify_barrier_sweep(sc: dict, out) -> list[tuple[str, float]]:
 
 
 def verify_graph_contract(sc: dict, out) -> list[tuple[str, float]]:
-    s_g = contract(QuantumGraph.from_json(sc["graph"]))
+    s_g = contract(read_graph(sc["graph"]))
     return [("global S unitarity defect", unitarity_defect(s_g.matrix))]
 
 
@@ -306,15 +394,15 @@ def verify_star_demo(sc: dict, out) -> list[tuple[str, float]]:
     series cannot sum), unitarity, and the expected transmission if given;
     prints the transmission block."""
     s2, s1, wiring = _star_inputs(sc)
-    try:
+    with _decoding("non-numeric expected_transmission"):
         expected = (float(sc["expected_transmission"])
                     if "expected_transmission" in sc else None)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"non-numeric expected_transmission: {exc}") from exc
     direct = composer.star(s2, s1, wiring)
+    trans = direct.block("R", "L")
+    if expected is not None and trans.size == 0:
+        raise InvalidInputError("expected_transmission given for an empty transmission block")
     checks = [_series_check(s2, s1, wiring),
               ("star unitarity defect", unitarity_defect(direct.matrix))]
-    trans = direct.block("R", "L")
     print(f"transmission block:\n{np.array_str(trans, precision=12)}", file=out)
     if expected is not None:
         gap = abs(abs(trans[0, 0]) - expected)

@@ -52,7 +52,7 @@ from .errors import (
     SeriesDivergentError,
 )
 from .numerics import (
-    DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse, whole_number, workspace,
+    DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse, workspace,
 )
 from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
 
@@ -74,17 +74,6 @@ class Wiring:
 
     s1_to_s2: tuple = field(default_factory=tuple)
     s2_to_s1: tuple = field(default_factory=tuple)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Wiring":
-        try:
-            return cls(*(
-                tuple((whole_number(a, "wiring slot"), whole_number(b, "wiring slot"))
-                      for a, b in obj[key])
-                for key in ("s1_to_s2", "s2_to_s1")
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed wiring: {exc}") from exc
 
 
 def _validate_pair(s2: ScatteringMatrix, s1: ScatteringMatrix,
@@ -227,6 +216,8 @@ def extract_physical(
     in_slots, out_slots = list(in_slots), list(out_slots)
     if len(in_slots) != spec.total_in or len(out_slots) != spec.total_out:
         raise InvalidInputError("physical slot labels do not match result spec")
+    if spec.dim != s_bar.spec.dim:
+        raise InvalidInputError(f"result spec has dim {spec.dim}, s_bar dim {s_bar.spec.dim}")
     m = s_bar.permuted(_to_front(in_slots, s_bar.spec.total_in),
                        _to_front(out_slots, s_bar.spec.total_out)).matrix
     rows, cols = len(out_slots) * s_bar.spec.dim, len(in_slots) * s_bar.spec.dim

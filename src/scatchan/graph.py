@@ -18,7 +18,6 @@ import numpy as np
 
 from .composer import star
 from .errors import InvalidInputError
-from .numerics import whole_number
 from .smatrix import PortSpec, ScatteringMatrix, slot_permutation_index
 
 Port = tuple[int, int]  # (vertex id, flat slot index)
@@ -40,27 +39,6 @@ class QuantumGraph:
             tuple(tuple(p) for p in dangling_out),
         )
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuantumGraph":
-        def vertex_id(v):
-            return whole_number(v, "vertex id", -np.inf)
-
-        def port(p):
-            vid, slot = p
-            return vertex_id(vid), whole_number(slot, "slot")
-
-        try:
-            vertices = [
-                (vertex_id(v["id"]), ScatteringMatrix.from_json(v["smatrix"]))
-                for v in obj["vertices"]
-            ]
-            edges = [(port(a), port(b)) for a, b in obj["edges"]]
-            din = [port(p) for p in obj["dangling_in"]]
-            dout = [port(p) for p in obj["dangling_out"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed graph: {exc}") from exc
-        return cls.build(vertices, edges, din, dout)
-
 
 def validate(g: QuantumGraph) -> list[str]:
     """Check all graph invariants; returns the list of violations (empty
@@ -75,6 +53,8 @@ def _topology_problems(vertex_specs, internal_edges, dangling_in, dangling_out):
     """The checks of :func:`validate`, which depend on the vertex port
     specs and the wiring only, never on the matrix entries."""
     errors: list[str] = []
+    if not vertex_specs:
+        errors.append("graph has no vertices")
     specs = dict(vertex_specs)
     if len(specs) != len(vertex_specs):
         errors.append("duplicate vertex ids")

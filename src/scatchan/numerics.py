@@ -3,8 +3,7 @@
 All matrices are plain ``numpy.ndarray`` of dtype complex128.  The kernels
 that composition uses (:func:`as_matrix`, :func:`svd`,
 :func:`pseudo_inverse`) take one matrix or a stack of matrices along leading
-axes, decomposed row by row.  The JSON literal form used across the repo is
-``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with row-major data.
+axes, decomposed row by row.
 """
 
 from __future__ import annotations
@@ -107,39 +106,3 @@ def max_abs(a) -> float:
     if m.size == 0:
         return 0.0
     return float(np.abs(m).max())
-
-
-def whole_number(value, name: str, least: float = 0, most: float = math.inf) -> int:
-    """A whole-number field of a JSON document (not a bool) in [``least``,
-    ``most``]: the one parser of counts, ids and slots, so that 1.7 or
-    ``true`` is rejected rather than truncated."""
-    try:
-        n = float(value)
-    except (TypeError, ValueError, OverflowError):
-        n = math.nan
-    if isinstance(value, bool) or not n.is_integer() or not least <= n <= most:
-        raise InvalidInputError(
-            f"{name} must be a whole number in [{least}, {most}], got {value!r}")
-    return int(value) if isinstance(value, int) else int(n)
-
-
-def matrix_to_json(a) -> dict:
-    """Serialize to the repo-wide matrix literal."""
-    m = as_single_matrix(a)
-    data = [[float(z.real), float(z.imag)] for z in m.ravel()]
-    return {"rows": m.shape[0], "cols": m.shape[1], "data": data}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse the repo-wide matrix literal."""
-    try:
-        rows, cols, data = (whole_number(obj["rows"], "rows"),
-                            whole_number(obj["cols"], "cols"), obj["data"])
-        entries = [complex(re, im) for re, im in data]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed matrix literal: {exc}") from exc
-    if len(entries) != rows * cols:
-        raise InvalidInputError(
-            f"matrix literal has {len(entries)} entries, expected {rows * cols}"
-        )
-    return as_matrix(np.array(entries, dtype=complex).reshape(rows, cols))

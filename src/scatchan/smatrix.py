@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConversionUnavailableError, InvalidInputError, NonUnitaryError
-from .numerics import as_matrix, matrix_from_json, matrix_to_json, whole_number, workspace
+from .numerics import as_matrix, workspace
 
 UNITARITY_TOL = 1e-8
 CONDITION_CUTOFF = 1e8
@@ -68,24 +68,6 @@ class PortSpec:
     @property
     def homogeneous(self) -> bool:
         return self.left_in == self.left_out == self.right_in == self.right_out
-
-    def to_json(self) -> dict:
-        return {
-            "left_in": self.left_in,
-            "left_out": self.left_out,
-            "right_in": self.right_in,
-            "right_out": self.right_out,
-            "dim": self.dim,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PortSpec":
-        try:
-            counts = [whole_number(obj[key], key)
-                      for key in ("left_in", "left_out", "right_in", "right_out")]
-            return cls(*counts, whole_number(obj.get("dim", 1), "dim", 1))
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed port spec: {exc}") from exc
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -192,18 +174,6 @@ class ScatteringMatrix:
             raise InvalidInputError("out_slots is not a permutation")
         index = slot_permutation_index(in_slots, out_slots, self.spec.dim)
         return self.reindexed(index, self.spec)
-
-    def to_json(self) -> dict:
-        return {"spec": self.spec.to_json(), "matrix": matrix_to_json(self.matrix)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScatteringMatrix":
-        try:
-            spec = PortSpec.from_json(obj["spec"])
-            matrix = matrix_from_json(obj["matrix"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed scattering matrix: {exc}") from exc
-        return cls(matrix, spec)
 
     def __repr__(self):
         return f"ScatteringMatrix(spec={self.spec})"

@@ -10,7 +10,7 @@ import pytest
 from scatchan import cli, composer, physics
 from scatchan.smatrix import PortSpec, ScatteringMatrix
 
-from conftest import random_smatrix
+from conftest import random_smatrix, random_unitary
 from test_composer import near_resonant_pair
 
 SCENARIOS = files("scatchan") / "scenarios"
@@ -44,8 +44,8 @@ def pair_graph(s1, s2):
         "name": "pair",
         "graph": {
             "vertices": [
-                {"id": 1, "smatrix": s1.to_json()},
-                {"id": 2, "smatrix": s2.to_json()},
+                {"id": 1, "smatrix": cli.scattering_json(s1)},
+                {"id": 2, "smatrix": cli.scattering_json(s2)},
             ],
             "edges": [[[1, 1], [2, 0]], [[2, 0], [1, 1]]],
             "dangling_in": [[1, 0], [2, 1]],
@@ -118,7 +118,7 @@ class TestRun:
 
     def test_corrupted_local_matrix_exits_3(self, tmp_path):
         bad = {
-            "spec": PortSpec(1, 1, 1, 1, 1).to_json(),
+            "spec": {"left_in": 1, "left_out": 1, "right_in": 1, "right_out": 1},
             "matrix": {"rows": 2, "cols": 2,
                        "data": [[1, 0], [1, 0], [0, 0], [1, 0]]},
         }
@@ -164,8 +164,8 @@ class TestVerify:
     def star_scenario(tmp_path, s1, s2, **extra):
         spec = PortSpec(1, 1, 1, 1, 1)
         sc = {"kind": "star-demo", "name": "pair",
-              "s1": ScatteringMatrix(s1, spec).to_json(),
-              "s2": ScatteringMatrix(s2, spec).to_json(), **extra}
+              "s1": cli.scattering_json(ScatteringMatrix(s1, spec)),
+              "s2": cli.scattering_json(ScatteringMatrix(s2, spec)), **extra}
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(sc))
         return str(path)
@@ -332,6 +332,23 @@ def test_run_is_deterministic(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("spec", [
+    PortSpec(1, 1, 1, 1, 1), PortSpec(2, 2, 2, 2, 2), PortSpec(1, 1, 1, 1, 3),
+    PortSpec(2, 1, 0, 1, 1), PortSpec(1, 2, 2, 1, 2), PortSpec(0, 1, 1, 0, 3),
+], ids=lambda s: f"{s.left_in}{s.left_out}{s.right_in}{s.right_out}-d{s.dim}")
+def test_scattering_json_roundtrip(spec):
+    # The writer's document, through JSON text, reads back to the same spec
+    # and bit-identical entries.
+    s = ScatteringMatrix(random_unitary(np.random.default_rng(spec.in_dim), spec.in_dim), spec)
+    doc = json.loads(json.dumps(cli.scattering_json(s)))
+    back = cli.read_scattering(doc)
+    assert back.spec == spec
+    assert np.array_equal(back.matrix, s.matrix)
+    if spec.dim == 1:  # "dim" is optional
+        del doc["spec"]["dim"]
+        assert cli.read_scattering(doc).spec == spec
+
+
 class TestScenarioBoundary:
     @pytest.mark.parametrize("name", ["../../x", "sub/x", "", ".", "..", 5, "a\x00b"])
     def test_name_outside_out_dir_exits_2(self, tmp_path, capsys, name):
@@ -350,8 +367,14 @@ class TestScenarioBoundary:
         ("star", ("s1", "matrix", "data", 0), ["a", 0]),
         ("star", ("wiring",), {"s1_to_s2": [["x", 0]], "s2_to_s1": [[0, 0]]}),
         ("star", ("wiring",), {"s1_to_s2": [[float("inf"), 0]], "s2_to_s1": [[0, 0]]}),
+        ("star", ("s1", "matrix", "data"), [[0, 0]] * 3),
+        ("graph", ("graph",), []),
+        ("graph", ("graph", "vertices", 0), {"id": 1}),
+        ("star", ("wiring",), 5),
+        ("star", ("s1",), "x"),
     ], ids=["vertex-id", "spec-count", "graph-entry", "three-port-edge", "star-entry",
-            "star-entry-str", "wiring-slot", "wiring-slot-inf"])
+            "star-entry-str", "wiring-slot", "wiring-slot-inf", "entry-count", "graph-list",
+            "vertex-without-smatrix", "wiring-number", "s1-string"])
     def test_malformed_json_exits_2(self, tmp_path, capsys, kind, keys, value):
         self.assert_edit_exits_2(tmp_path, capsys, kind, keys, value)
 
@@ -399,8 +422,8 @@ class TestScenarioBoundary:
     def test_conflicting_wiring_pairs_exit_2(self, tmp_path, capsys, command):
         rng = np.random.default_rng(8)
         sc = {"kind": "star-demo", "name": "conflict",
-              "s1": random_smatrix(rng, 2, 1).to_json(),
-              "s2": random_smatrix(rng, 2, 1).to_json(),
+              "s1": cli.scattering_json(random_smatrix(rng, 2, 1)),
+              "s2": cli.scattering_json(random_smatrix(rng, 2, 1)),
               "wiring": {"s1_to_s2": [[0, 1], [0, 0], [1, 1]], "s2_to_s1": [[0, 0], [1, 1]]}}
         path = tmp_path / "conflict.json"
         path.write_text(json.dumps(sc))
@@ -408,6 +431,29 @@ class TestScenarioBoundary:
         assert cli.main(["--out", str(out), command, str(path)]) == 2
         assert "error: s1_to_s2 wiring is not a bijection" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_graph_without_vertices_exits_2(self, tmp_path, capsys, command):
+        sc = {"kind": "graph-contract", "name": "empty", "graph": {
+            "vertices": [], "edges": [], "dangling_in": [], "dangling_out": []}}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(sc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), command, str(path)]) == 2
+        assert capsys.readouterr().err == "error: invalid graph: graph has no vertices\n"
+        assert not out.exists()
+
+    def test_expected_transmission_of_an_empty_block_exits_2(self, tmp_path, capsys):
+        empty = cli.scattering_json(ScatteringMatrix(np.zeros((0, 0)), PortSpec(0, 0, 0, 0, 1)))
+        sc = {"kind": "star-demo", "name": "empty", "s1": empty, "s2": empty,
+              "expected_transmission": 0.5}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(sc))
+        assert cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["--out", str(tmp_path / "out"), "verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: expected_transmission given for an empty transmission block\n")
 
     @pytest.mark.parametrize("value", ["abc", None])
     def test_non_numeric_expected_transmission_exits_2(self, tmp_path, capsys, value):

@@ -238,6 +238,11 @@ class TestSlotLabels:
         with pytest.raises(InvalidInputError, match="do not match result spec"):
             extract_physical(s_bar, [0], [0, 1], SPEC11)
 
+    def test_extraction_spec_must_keep_the_dim(self):
+        s_bar = ScatteringMatrix(np.eye(4), PortSpec(1, 1, 1, 1, 2))
+        with pytest.raises(InvalidInputError, match="result spec has dim 1, s_bar dim 2"):
+            extract_physical(s_bar, [0, 1], [0, 1], SPEC11)
+
 
 class TestDirectVersusPadded:
     """The direct rectangular-block composition against the paper's padded

@@ -111,6 +111,12 @@ class TestRejectedTopologies:
         with pytest.raises(InvalidInputError, match="disagree on internal dimension"):
             contract(g)
 
+    def test_no_vertices(self):
+        g = self.unwired([], [], [])
+        assert validate(g) == ["graph has no vertices"]
+        with pytest.raises(InvalidInputError, match="graph has no vertices"):
+            contract(g)
+
     def test_vertex_without_ports(self):
         empty = ScatteringMatrix(np.zeros((0, 0)), PortSpec(0, 0, 0, 0, 1))
         g = self.unwired([(1, SWAP2), (2, empty)], [(1, 0), (1, 1)], [(1, 0), (1, 1)])

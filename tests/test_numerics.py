@@ -4,8 +4,6 @@ import pytest
 from scatchan.errors import InvalidInputError
 from scatchan.numerics import (
     as_matrix,
-    matrix_from_json,
-    matrix_to_json,
     max_abs,
     pseudo_inverse,
     svd,
@@ -72,14 +70,6 @@ def test_penrose_identities(shape):
     assert max_abs(ap @ a @ ap - ap) < 1e-10
     assert max_abs((a @ ap).conj().T - a @ ap) < 1e-10
     assert max_abs((ap @ a).conj().T - ap @ a) < 1e-10
-
-
-def test_matrix_json_roundtrip():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    obj = matrix_to_json(a)
-    assert obj["rows"] == 3 and obj["cols"] == 2 and len(obj["data"]) == 6
-    assert max_abs(matrix_from_json(obj) - a) == 0.0
 
 
 def test_as_matrix_rejects_nonfinite():
