@@ -28,7 +28,6 @@ _EXPORTS = {
     "ScatchanError": "errors",
     "ScatteringMatrix": "smatrix",
     "SeriesDivergentError": "errors",
-    "TransferMatrix": "smatrix",
     "Wiring": "composer",
     "barrier_smatrix": "physics",
     "capacity_bounds": "capacity",

@@ -81,7 +81,7 @@ class DataProcessingReport:
         return self.p_max_composed <= min(self.p_max_first, self.p_max_second) + 1e-12
 
 
-def check_data_processing(m1, m2, d: int) -> DataProcessingReport:
+def check_data_processing(m1, m2) -> DataProcessingReport:
     """Verify the composed channel is no less noisy than either factor."""
     p1 = singular_probabilities(m1)
     p2 = singular_probabilities(m2)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .capacity import PROB_CLAMP_TOL
 from .errors import InvalidInputError
 from .numerics import as_single_matrix
 from .smatrix import ScatteringMatrix
-
-CONTRACTION_TOL = 1e-10
 
 
 def transmission_operator(
@@ -40,11 +39,11 @@ class ErasureChannel:
         if m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"transmission operator must be square, got {m.shape}")
         self.d = m.shape[0]
-        self.flag_index = self.d
         gram_defect = np.eye(self.d) - m.conj().T @ m
         evals, evecs = np.linalg.eigh((gram_defect + gram_defect.conj().T) / 2)
         lowest = np.min(evals, initial=0.0)  # NaN if any eigenvalue is
-        if not lowest >= -CONTRACTION_TOL:
+        # lambda_min(1 - M^dag M) >= -tol exactly when sigma_max(M)^2 <= 1 + tol.
+        if not lowest >= -PROB_CLAMP_TOL:
             raise InvalidInputError(
                 f"1 - M^dag M has eigenvalue {lowest:.3e}; M is not a contraction"
             )

@@ -230,44 +230,26 @@ def extract_physical(
     return ScatteringMatrix._trusted(m[..., :rows, :cols].copy(), spec)
 
 
-@dataclass(frozen=True)
-class KernelDecouplingReport:
-    """Residuals of the Kostrykin-Schrader decoupling conditions, one
-    4-tuple per loop-kernel vector (over all rows of a stack)."""
-
-    kernel_dim: int
-    residuals: tuple
-
-    @property
-    def max_residual(self) -> float:
-        flat = [r for quad in self.residuals for r in quad]
-        # np.max keeps a NaN residual; the builtin max could drop it.
-        return float(np.max(flat)) if flat else 0.0
-
-    @property
-    def ok(self) -> bool:
-        # Written so that a NaN residual fails.
-        return all(r < DECOUPLING_TOL for quad in self.residuals for r in quad)
-
-
-def _kernel_residuals(kmat, s2, s1) -> tuple:
-    """Decoupling residual 4-tuples, one per column of the kernel basis."""
+def _kernel_residual(kmat, s2, s1) -> float:
+    """The largest Kostrykin-Schrader decoupling residual over the columns
+    of the kernel basis ``kmat`` (NaN if any residual is: the array max
+    keeps a NaN)."""
     kc = kmat.conj()
-    r1 = np.linalg.norm(s1.block("L", "R") @ kmat, axis=0)
-    r2 = np.linalg.norm(s2.block("R", "L") @ (s1.block("R", "R") @ kmat), axis=0)
-    r3 = np.linalg.norm(s2.block("L", "R").T @ kc, axis=0)
-    r4 = np.linalg.norm((s2.block("L", "L") @ s1.block("R", "L")).T @ kc, axis=0)
-    return tuple(
-        (float(a), float(b), float(c), float(e))
-        for a, b, c, e in zip(r1, r2, r3, r4)
-    )
+    return float(np.concatenate((
+        np.linalg.norm(s1.block("L", "R") @ kmat, axis=0),
+        np.linalg.norm(s2.block("R", "L") @ (s1.block("R", "R") @ kmat), axis=0),
+        np.linalg.norm(s2.block("L", "R").T @ kc, axis=0),
+        np.linalg.norm((s2.block("L", "L") @ s1.block("R", "L")).T @ kc, axis=0),
+    )).max())
 
 
 def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix, hop: np.ndarray):
-    """Inverse of the loop matrix 1 - hop (of every row of a stack) and the
-    decoupling report of its kernel.  A batched LU inverse serves each row it
-    certifies: sigma_min > KERNEL_SV_TOL and cond_2 < 1 / DEFAULT_REL_TOL, so
-    it is the pseudo-inverse (a NaN or Inf fails).  The rest take the SVD
+    """Inverse of the loop matrix 1 - hop (of every row of a stack), the
+    dimension of its kernel summed over the rows, and the largest decoupling
+    residual of that kernel: ``(linv, 0, 0.0)`` when every row is regular.
+    A batched LU inverse serves each row it certifies: sigma_min >
+    KERNEL_SV_TOL and cond_2 < 1 / DEFAULT_REL_TOL, so it is the
+    pseudo-inverse (a NaN or Inf fails).  The rest take the SVD
     pseudo-inverse, and its singular rows the kernel check.  A row on which
     LU meets an exact zero pivot (det, from the same factorization, is 0 or
     NaN) stays NaN and so uncertified; the other rows keep their LU inverse."""
@@ -283,25 +265,29 @@ def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix, hop: np.ndarray):
     regular = (inv_norm * KERNEL_SV_TOL < 1) & (
         np.linalg.norm(loop, axis=(-2, -1)) * inv_norm * DEFAULT_REL_TOL < 1)
     if regular.all():
-        return linv, KernelDecouplingReport(0, ())
+        return linv, 0, 0.0
     n, rows = loop.shape[-1], np.flatnonzero(~regular)
     linv = linv.reshape(-1, n, n)
     linv[rows], sing, v = pseudo_inverse(loop.reshape(-1, n, n)[rows])
-    kernel_dim, residuals = 0, ()
+    kernel_dim, residual = 0, 0.0
     for j in np.flatnonzero(sing[:, -1] < KERNEL_SV_TOL):
         i = np.unravel_index(rows[j], regular.shape)
         kmat = v[j][:, sing[j] < KERNEL_SV_TOL]
         kernel_dim += kmat.shape[1]
-        residuals += _kernel_residuals(kmat, s2.row(i), s1.row(i))
-    return linv.reshape(loop.shape), KernelDecouplingReport(kernel_dim, residuals)
+        # np.maximum keeps a NaN residual; the builtin max could drop it.
+        residual = np.maximum(residual, _kernel_residual(kmat, s2.row(i), s1.row(i)))
+    return linv.reshape(loop.shape), kernel_dim, float(residual)
 
 
 def kernel_decoupling_check(
     s2: ScatteringMatrix, s1: ScatteringMatrix, wiring: Wiring | None = None
-) -> KernelDecouplingReport:
-    """Verify that loop-kernel modes are invisible from all dangling ports."""
+) -> tuple[int, float]:
+    """Verify that loop-kernel modes are invisible from all dangling ports:
+    the kernel dimension of the loop (summed over the rows of a stack) and
+    the worst Kostrykin-Schrader residual of its kernel (0.0 for an empty
+    kernel, NaN if any residual is)."""
     s2 = _validate_pair(s2, s1, wiring)
-    return _loop_inverse(s2, s1, _interface_product(s2, s1)[1])[1]
+    return _loop_inverse(s2, s1, _interface_product(s2, s1)[1])[1:]
 
 
 def star(
@@ -324,11 +310,11 @@ def star(
     s2 = _validate_pair(s2, s1, wiring)
 
     prod, hop = _interface_product(s2, s1)
-    linv, report = _loop_inverse(s2, s1, hop)
-    if not report.ok:
+    linv, _, residual = _loop_inverse(s2, s1, hop)
+    if not residual < DECOUPLING_TOL:  # a NaN fails too
         raise InternalConsistencyError(
             "loop matrix is singular but kernel modes couple to the "
-            f"output ports (residual {report.max_residual:.3e}); "
+            f"output ports (residual {residual:.3e}); "
             "inputs are not unitary"
         )
     result = _assemble(s2, s1, linv, prod)

@@ -1,4 +1,4 @@
-"""Scattering- and transfer-matrix types with block access and conversion.
+"""Scattering-matrix types with block access; transfer-matrix conversion.
 
 Slot ordering convention (fixed repo-wide): left-group slots first, then
 right-group slots; each slot is a contiguous block of ``dim`` internal
@@ -10,7 +10,7 @@ access and reindexing act on the last two axes.  Stacks are C-ordered (the
 matrix axes innermost): reindexing gathers into that layout in one
 ``np.take``, and a relabelling that moves no slot shares the array.  The
 unitarity gate of a stack writes its temporaries to the thread's workspace
-and allocates nothing.  Transfer matrices stay 2-D.
+and allocates nothing.  A transfer matrix is one plain 2-D array.
 """
 
 from __future__ import annotations
@@ -199,45 +199,6 @@ def slot_permutation_index(in_slots, out_slots, dim: int) -> np.ndarray | None:
     return index
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Left<->right amplitude map equivalent to a homogeneous S-matrix.
-
-    Maps (A_left, B_left) to (B_right, A_right); ``half`` is the k*d size
-    of each of the four blocks.
-    """
-
-    matrix: np.ndarray
-    half: int
-    dim: int = 1
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape != (2 * self.half, 2 * self.half):
-            raise InvalidInputError(
-                f"transfer matrix shape {m.shape} does not match half-size {self.half}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    def block(self, name: str) -> np.ndarray:
-        h = self.half
-        blocks = {
-            "BA": self.matrix[:h, :h],
-            "BB": self.matrix[:h, h:],
-            "AA": self.matrix[h:, :h],
-            "AB": self.matrix[h:, h:],
-        }
-        try:
-            return blocks[name]
-        except KeyError:
-            raise InvalidInputError(f"unknown transfer block {name!r}") from None
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        if self.half != other.half or self.dim != other.dim:
-            raise InvalidInputError("transfer matrices of different size")
-        return TransferMatrix(self.matrix @ other.matrix, self.half, self.dim)
-
-
 def _checked_inverse(block: np.ndarray, what: str) -> np.ndarray:
     if block.size == 0:
         raise ConversionUnavailableError(f"{what} is empty")
@@ -249,31 +210,32 @@ def _checked_inverse(block: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(block)
 
 
-def s_to_t(s: ScatteringMatrix) -> TransferMatrix:
-    """Convert a homogeneous scattering matrix to its transfer matrix."""
+def s_to_t(s: ScatteringMatrix) -> np.ndarray:
+    """The transfer matrix of one homogeneous scattering matrix: the 2h x 2h
+    array (h = k * dim) that maps the left amplitudes (A_left, B_left) to
+    the right ones (B_right, A_right), in the blocks [[BA, BB], [AA, AB]]."""
     if not s.spec.homogeneous or s.matrix.ndim != 2:
         raise InvalidInputError("s_to_t needs one matrix with equal left/right port groups")
     s_ll, s_lr = s.block("L", "L"), s.block("L", "R")
     s_rl, s_rr = s.block("R", "L"), s.block("R", "R")
     inv_lr = _checked_inverse(s_lr, "S^{L,R}")
-    h = s_ll.shape[0]
-    t = np.empty((2 * h, 2 * h), dtype=complex)
-    t[:h, :h] = s_rl - s_rr @ inv_lr @ s_ll
-    t[:h, h:] = s_rr @ inv_lr
-    t[h:, :h] = -inv_lr @ s_ll
-    t[h:, h:] = inv_lr
-    return TransferMatrix(t, h, s.spec.dim)
+    return np.block([[s_rl - s_rr @ inv_lr @ s_ll, s_rr @ inv_lr],
+                     [-inv_lr @ s_ll, inv_lr]])
 
 
-def t_to_s(t: TransferMatrix) -> ScatteringMatrix:
-    """Inverse of :func:`s_to_t`."""
-    inv_ab = _checked_inverse(t.block("AB"), "T^{A,B}")
-    t_aa, t_ba, t_bb = t.block("AA"), t.block("BA"), t.block("BB")
-    h = t.half
-    s = np.empty((2 * h, 2 * h), dtype=complex)
-    s[:h, :h] = -inv_ab @ t_aa
-    s[:h, h:] = inv_ab
-    s[h:, :h] = t_ba - t_bb @ inv_ab @ t_aa
-    s[h:, h:] = t_bb @ inv_ab
-    k = h // t.dim
-    return ScatteringMatrix(s, PortSpec(k, k, k, k, t.dim), check=False)
+def t_to_s(t, dim: int) -> ScatteringMatrix:
+    """Inverse of :func:`s_to_t`: the homogeneous scattering matrix, with
+    ``dim`` internal amplitudes per slot, of one 2h x 2h transfer matrix
+    whose half-size h is a multiple of ``dim``."""
+    t = as_matrix(t)
+    n = t.shape[-1]
+    if t.shape != (n, n) or dim < 1 or n % (2 * dim):
+        raise InvalidInputError(
+            f"transfer matrix of shape {t.shape} is not 2h x 2h with h a multiple of dim {dim}")
+    h = n // 2
+    t_ba, t_bb, t_aa = t[:h, :h], t[:h, h:], t[h:, :h]
+    inv_ab = _checked_inverse(t[h:, h:], "T^{A,B}")
+    s = np.block([[-inv_ab @ t_aa, inv_ab],
+                  [t_ba - t_bb @ inv_ab @ t_aa, t_bb @ inv_ab]])
+    k = h // dim
+    return ScatteringMatrix(s, PortSpec(k, k, k, k, dim), check=False)

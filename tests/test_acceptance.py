@@ -70,7 +70,7 @@ def test_criterion_2_oracle_triangle():
         assert operator_norm(s2.block("L", "L") @ s1.block("R", "R")) <= 0.9
         a = star(s2, s1).matrix
         b = star_via_series(s2, s1, tol=1e-14).matrix
-        c = t_to_s(s_to_t(s2) @ s_to_t(s1)).matrix
+        c = t_to_s(s_to_t(s2) @ s_to_t(s1), d).matrix
         worst = np.max([worst, max_abs(a - b), max_abs(b - c), max_abs(a - c)])
     _report(2, worst < 1e-8, f"max pairwise route disagreement {worst:.2e}")
 
@@ -124,9 +124,7 @@ def test_criterion_5_capacity_values_and_data_processing():
     dpi = True
     for _ in range(1000):
         d = int(rng.integers(2, 5))
-        r = capacity.check_data_processing(
-            random_contraction(rng, d), random_contraction(rng, d), d
-        )
+        r = capacity.check_data_processing(random_contraction(rng, d), random_contraction(rng, d))
         dpi = dpi and r.holds
     _report(
         5, spot and ordered and dpi,

@@ -89,9 +89,7 @@ class TestCapacityBounds:
 
 class TestDataProcessing:
     def test_scalar_pair(self):
-        r = check_data_processing(
-            np.sqrt(0.8) * np.eye(2), np.sqrt(0.8) * np.eye(2), 2
-        )
+        r = check_data_processing(np.sqrt(0.8) * np.eye(2), np.sqrt(0.8) * np.eye(2))
         assert r.p_max_composed == pytest.approx(0.64)
         assert r.holds
 
@@ -99,16 +97,14 @@ class TestDataProcessing:
         rng = np.random.default_rng(2)
         m1 = random_contraction(rng, 3)
         u = random_unitary(rng, 3)
-        r = check_data_processing(m1, u, 3)
+        r = check_data_processing(m1, u)
         assert r.p_max_composed == pytest.approx(r.p_max_first, abs=1e-12)
 
     def test_random_compositions(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             d = int(rng.integers(2, 5))
-            r = check_data_processing(
-                random_contraction(rng, d), random_contraction(rng, d), d
-            )
+            r = check_data_processing(random_contraction(rng, d), random_contraction(rng, d))
             assert r.holds
             q_comp = erasure_capacity(r.p_max_composed, d)
             q_factor_min = min(erasure_capacity(r.p_max_first, d),

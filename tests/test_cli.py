@@ -443,6 +443,32 @@ class TestScenarioBoundary:
         assert capsys.readouterr().err == "error: invalid graph: graph has no vertices\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("sc, field", [
+        ({"kind": "graph-contract"}, "graph"),
+        ({"kind": "star-demo"}, "s1"),
+        ("sweep", "half_width"),
+    ], ids=["graph", "star", "sweep"])
+    def test_missing_field_is_named(self, tmp_path, capsys, command, sc, field):
+        if sc == "sweep":
+            sc = json.loads((SCENARIOS / "fig2_eps0.json").read_text())
+            del sc[field]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(sc))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {sc['kind']} scenario has no field {field!r}\n")
+        assert not out.exists()
+
+    def test_key_error_inside_a_command_is_not_malformed_input(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(physics, "energy_sweep", broken)
+        with pytest.raises(KeyError, match="bug"):
+            cli.main(["--out", str(tmp_path), "run", small_sweep(tmp_path)])
+
     def test_expected_transmission_of_an_empty_block_exits_2(self, tmp_path, capsys):
         empty = cli.scattering_json(ScatteringMatrix(np.zeros((0, 0)), PortSpec(0, 0, 0, 0, 1)))
         sc = {"kind": "star-demo", "name": "empty", "s1": empty, "s2": empty,

@@ -1,7 +1,7 @@
 import scatchan
 
 REMOVED = ("single_barrier_m", "double_barrier_m", "SpinChannelPair", "new_scattering",
-           "loop_matrix")
+           "loop_matrix", "TransferMatrix")
 
 
 def test_exports_resolve_and_removed_names_are_gone():

@@ -11,7 +11,6 @@ from scatchan.numerics import max_abs
 from scatchan.smatrix import (
     PortSpec,
     ScatteringMatrix,
-    TransferMatrix,
     s_to_t,
     slot_permutation_index,
     t_to_s,
@@ -176,7 +175,7 @@ class TestUnitarityDefect:
 class TestConversion:
     def test_swap_to_transfer_is_identity(self):
         t = s_to_t(ScatteringMatrix(SWAP, SPEC11))
-        assert max_abs(t.matrix - np.eye(2)) < 1e-14
+        assert max_abs(t - np.eye(2)) < 1e-14
 
     def test_reflector_unconvertible(self):
         with pytest.raises(ConversionUnavailableError):
@@ -184,10 +183,10 @@ class TestConversion:
 
     def test_beamsplitter_unimodular(self):
         t = s_to_t(beamsplitter(np.pi / 4))
-        assert abs(np.linalg.det(t.matrix)) == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.linalg.det(t)) == pytest.approx(1.0, abs=1e-10)
 
     def test_identity_transfer_to_swap(self):
-        s = t_to_s(TransferMatrix(np.eye(2, dtype=complex), 1))
+        s = t_to_s(np.eye(2, dtype=complex), 1)
         assert max_abs(s.matrix - SWAP) < 1e-14
 
     def test_roundtrip_random(self):
@@ -198,21 +197,31 @@ class TestConversion:
                 t = s_to_t(s)
             except ConversionUnavailableError:
                 continue
-            back = t_to_s(t)
+            back = t_to_s(t, 1)
             assert max_abs(back.matrix - s.matrix) < 1e-9
-            assert abs(abs(np.linalg.det(t.matrix)) - 1.0) < 1e-8
+            assert abs(abs(np.linalg.det(t)) - 1.0) < 1e-8
+
+    def test_roundtrip_keeps_the_dim(self):
+        s = random_smatrix(np.random.default_rng(10), 1, 2)
+        back = t_to_s(s_to_t(s), 2)
+        assert back.spec == s.spec
+        assert max_abs(back.matrix - s.matrix) < 1e-9
 
     def test_singular_ab_block_unconvertible(self):
         # T^{A,B} = 0 cannot be inverted back to an S-matrix
-        t = TransferMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), 1)
+        t = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ConversionUnavailableError):
-            t_to_s(t)
+            t_to_s(t, 1)
 
-    def test_transfer_product_shape_guard(self):
-        t1 = TransferMatrix(np.eye(2, dtype=complex), 1)
-        t2 = TransferMatrix(np.eye(4, dtype=complex), 2)
-        with pytest.raises(InvalidInputError):
-            t1 @ t2
+    @pytest.mark.parametrize("t, dim", [
+        (np.stack([np.eye(2)] * 3), 1),
+        (np.eye(4)[:, :2], 1),
+        (np.eye(3), 1),
+        (np.eye(6), 2),  # half-size 3
+    ], ids=["stack", "not-square", "odd-size", "dim-does-not-divide"])
+    def test_transfer_shape_guard(self, t, dim):
+        with pytest.raises(InvalidInputError, match="is not 2h x 2h"):
+            t_to_s(t, dim)
 
     def test_dishomogeneous_rejected(self):
         rng = np.random.default_rng(2)
