@@ -4,7 +4,9 @@ detection.
 For a uniform transmission probability p the capacity is exactly
 max{0, (2p - 1) log2 d}; in the state-dependent case only the bounds built
 from the smallest and largest singular probabilities are reported.  All but
-:func:`check_data_processing` also take a stack of operators, row by row.
+:func:`check_data_processing` also take a stack of operators, row by row;
+that check takes one operator per factor and returns the signed slack of the
+data-processing inequality, a float that is at most 0 when it holds.
 """
 
 from __future__ import annotations
@@ -68,25 +70,14 @@ def capacity_bounds(m, d: int) -> CapacityBounds:
     return CapacityBounds(singular_probabilities(m), d)
 
 
-@dataclass(frozen=True)
-class DataProcessingReport:
-    """p_max of the composed operator against its factors."""
-
-    p_max_composed: float
-    p_max_first: float
-    p_max_second: float
-
-    @property
-    def holds(self) -> bool:
-        return self.p_max_composed <= min(self.p_max_first, self.p_max_second) + 1e-12
-
-
-def check_data_processing(m1, m2) -> DataProcessingReport:
-    """Verify the composed channel is no less noisy than either factor."""
+def check_data_processing(m1, m2) -> float:
+    """The slack p_max(M2 M1) - min(p_max(M1), p_max(M2)) of the
+    data-processing inequality: at most 0 when the composed channel is no
+    less noisy than either factor."""
     p1 = singular_probabilities(m1)
     p2 = singular_probabilities(m2)
     p21 = singular_probabilities(as_single_matrix(m2) @ as_single_matrix(m1))
-    return DataProcessingReport(float(p21[-1]), float(p1[-1]), float(p2[-1]))
+    return float(p21[-1] - min(p1[-1], p2[-1]))
 
 
 def detect_superactivation(resonant: CapacityBounds, direct: CapacityBounds):

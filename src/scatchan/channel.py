@@ -3,7 +3,8 @@
 The channel delivers M rho M^dag on the internal space and routes the
 complementary weight to an orthogonal flag ("no particle") state realized
 as one appended basis dimension, giving (d+1)x(d+1) outputs.  Channels
-take one transmission operator; a stack of them is rejected.
+take one transmission operator, the d x d block of the global matrix
+between two ports; a stack of them is rejected.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ def transmission_operator(
 ) -> np.ndarray:
     """The d x d block of the global S-matrix connecting the sender's
     in-port to the receiver's out-port (a stack of blocks for a stacked
-    S-matrix).  Ports are 1-based dangling labels.
+    S-matrix), a view of the matrix.  Ports are 1-based dangling labels.
     """
     d = s_g.spec.dim
     if not 1 <= in_port <= s_g.spec.total_in:
         raise InvalidInputError(f"unknown in-port {in_port}")
     if not 1 <= out_port <= s_g.spec.total_out:
         raise InvalidInputError(f"unknown out-port {out_port}")
-    return s_g.slot_block(out_port - 1, in_port - 1)
+    return s_g.matrix[..., (out_port - 1) * d:out_port * d, (in_port - 1) * d:in_port * d]
 
 
 class ErasureChannel:

@@ -260,7 +260,7 @@ def load_scenario(path: str) -> dict:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"scenario must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in SCENARIO_KINDS:
+    if not isinstance(kind, str) or kind not in SCENARIO_KINDS:
         raise InvalidInputError(f"unknown scenario kind: {kind!r}")
     name = obj.setdefault("name", os.path.splitext(os.path.basename(path))[0])
     if (not isinstance(name, str) or name in ("", ".", "..") or "\x00" in name
@@ -359,16 +359,16 @@ def run_star_demo(sc: dict, out_dir: str) -> list[str]:
 # pairs; ``_cmd_verify`` prints them and gates every residual on VERIFY_TOL.
 
 
-def _series_check(s2, s1, wiring=None) -> tuple[str, float]:
-    """Star against the geometric series where ``star_via_series``
-    converges; otherwise the kernel decoupling residual of the loop, under a
-    name that says why the series was skipped."""
+def _series_check(direct, s2, s1, wiring=None) -> tuple[str, float]:
+    """``direct``, the star of the pair, against the geometric series where
+    ``star_via_series`` converges; otherwise the kernel decoupling residual
+    of the loop, under a name that says why the series was skipped."""
     try:
         series = composer.star_via_series(s2, s1, wiring, tol=1e-14)
     except SeriesDivergentError as exc:
         return (f"kernel decoupling (geometric series route skipped: {exc})",
                 composer.kernel_decoupling_check(s2, s1, wiring)[1])
-    return "star/series gap", max_abs(composer.star(s2, s1, wiring).matrix - series.matrix)
+    return "star/series gap", max_abs(direct.matrix - series.matrix)
 
 
 def verify_barrier_sweep(sc: dict, out) -> list[tuple[str, float]]:
@@ -381,7 +381,8 @@ def verify_barrier_sweep(sc: dict, out) -> list[tuple[str, float]]:
 
     e_mid = float(sample[len(sample) // 2])
     b1 = physics.barrier_smatrix(base, e_mid)
-    checks.append(_series_check(physics.translated_barrier(b1, base.separation, e_mid), b1))
+    b2 = physics.translated_barrier(b1, base.separation, e_mid)
+    checks.append(_series_check(composer.star(b2, b1), b2, b1))
 
     s_g = physics.barrier_lines(base, e_mid)["double"]
     checks.append(("double-barrier unitarity defect", unitarity_defect(s_g.matrix)))
@@ -411,7 +412,7 @@ def verify_star_demo(sc: dict, out) -> list[tuple[str, float]]:
     trans = direct.block("R", "L")
     if expected is not None and trans.size == 0:
         raise InvalidInputError("expected_transmission given for an empty transmission block")
-    checks = [_series_check(s2, s1, wiring),
+    checks = [_series_check(direct, s2, s1, wiring),
               ("star unitarity defect", unitarity_defect(direct.matrix))]
     print(f"transmission block:\n{np.array_str(trans, precision=12)}", file=out)
     if expected is not None:

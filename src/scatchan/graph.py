@@ -220,9 +220,8 @@ def _compile(vertex_specs, internal_edges, dangling_in, dangling_out, order) -> 
         raise InvalidInputError(
             f"contraction order left {len(ports)} components unmerged"
         )
+    # No edge is left: the merge that first joins an edge's two vertices wires it.
     root, (final_in, final_out) = next(iter(ports.items()))
-    if edges:
-        raise InvalidInputError(f"unresolved internal edges after contraction: {edges}")
 
     n = len(dangling_in)
     final_index = slot_permutation_index(

@@ -129,14 +129,6 @@ class ScatteringMatrix:
             raise InvalidInputError(f"unknown in group {in_group!r}")
         return self.matrix[..., rows, cols]
 
-    def slot_block(self, out_slot: int, in_slot: int) -> np.ndarray:
-        """The dim x dim sub-block for a single (out-slot, in-slot) pair,
-        slots indexed flat across left-then-right groups."""
-        d = self.spec.dim
-        if not (0 <= out_slot < self.spec.total_out and 0 <= in_slot < self.spec.total_in):
-            raise InvalidInputError(f"slot pair ({out_slot}, {in_slot}) out of range")
-        return self.matrix[..., out_slot * d:(out_slot + 1) * d, in_slot * d:(in_slot + 1) * d]
-
     @classmethod
     def _trusted(cls, matrix: np.ndarray, spec: PortSpec) -> "ScatteringMatrix":
         """Wrap an internally produced complex array without re-validation."""

@@ -124,8 +124,9 @@ def test_criterion_5_capacity_values_and_data_processing():
     dpi = True
     for _ in range(1000):
         d = int(rng.integers(2, 5))
-        r = capacity.check_data_processing(random_contraction(rng, d), random_contraction(rng, d))
-        dpi = dpi and r.holds
+        slack = capacity.check_data_processing(random_contraction(rng, d),
+                                               random_contraction(rng, d))
+        dpi = dpi and slack <= 1e-12
     _report(
         5, spot and ordered and dpi,
         f"spot values {'ok' if spot else 'BAD'}, 1000 bound orderings "

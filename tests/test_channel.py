@@ -44,6 +44,13 @@ class TestTransmissionOperator:
     def test_unknown_port(self):
         with pytest.raises(InvalidInputError):
             transmission_operator(SWAP_D2, in_port=1, out_port=5)
+        with pytest.raises(InvalidInputError, match="unknown in-port 0"):
+            transmission_operator(SWAP_D2, in_port=0, out_port=2)
+
+
+def test_channel_rejects_a_non_square_operator():
+    with pytest.raises(InvalidInputError, match="must be square"):
+        ErasureChannel(np.zeros((2, 3)))
 
 
 def test_channel_rejects_a_stack():

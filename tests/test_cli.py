@@ -72,6 +72,15 @@ class TestRun:
             root = ET.fromstring((tmp_path / name).read_text())
             assert root.tag.endswith("svg")
 
+    def test_flat_curves_are_drawn(self, tmp_path):
+        # eta = 1 deflects every particle: each curve is flat at 0.
+        assert cli.main(["--out", str(tmp_path), "run", small_sweep(tmp_path, eta=1.0)]) == 0
+        rows = np.loadtxt(tmp_path / "fig2_eps0.csv", delimiter=",", skiprows=1)
+        assert not rows[:, 1:].any()
+        for name in ("fig2_eps0_transmission.svg", "fig2_eps0_capacity.svg"):
+            root = ET.fromstring((tmp_path / name).read_text())
+            assert root.tag.endswith("svg")
+
     def test_graph_contract(self, tmp_path):
         rng = np.random.default_rng(0)
         s = random_smatrix(rng, 1, 1)
@@ -88,6 +97,16 @@ class TestRun:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "mystery"}))
         assert cli.main(["--out", str(tmp_path), "run", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("kind", [[], {}, [1, 2, 3]], ids=["list", "object", "numbers"])
+    def test_non_string_kind_exits_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": kind}))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown scenario kind: {kind!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[1]", "5", "null", '"barrier-sweep"'])
     def test_non_object_scenario_exits_2(self, tmp_path, capsys, text):

@@ -140,6 +140,17 @@ class TestSeries:
         g = star_via_series(SWAP, SWAP)
         assert max_abs(g.matrix - SWAP.matrix) < 1e-14
 
+    def test_empty_loop(self):
+        # Two phases from a left in-slot to a right out-slot: s1 has no
+        # right in-slot, so the loop is empty and the series is just 1.
+        spec = PortSpec(1, 0, 0, 1, 1)
+        s1 = ScatteringMatrix(np.array([[np.exp(0.3j)]]), spec)
+        s2 = ScatteringMatrix(np.array([[np.exp(1.1j)]]), spec)
+        g = star_via_series(s2, s1)
+        assert g.spec == spec
+        assert max_abs(g.matrix - star(s2, s1).matrix) == 0.0
+        assert max_abs(g.matrix - np.exp(1.4j)) < 1e-15
+
     def test_full_reflectors_diverge(self):
         refl = ScatteringMatrix(np.eye(2), SPEC11)
         with pytest.raises(SeriesDivergentError):

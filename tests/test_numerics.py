@@ -77,6 +77,11 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[1.0, np.inf]])
 
 
+def test_as_matrix_rejects_a_vector():
+    with pytest.raises(InvalidInputError, match="ndim=1"):
+        as_matrix([1.0, 0.0])
+
+
 class TestWorkspace:
     def test_slot_is_reused_and_grows(self):
         a = workspace("test_slot", (4, 3, 3))

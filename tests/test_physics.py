@@ -63,6 +63,8 @@ class TestBarrierParams:
             BarrierParams(1.0, eta=-0.1)
         with pytest.raises(InvalidInputError):
             BarrierParams(1.0, half_width=0.0)
+        with pytest.raises(InvalidInputError, match="separation must be nonnegative"):
+            BarrierParams(1.0, separation=-1)
 
 
 class TestBarrierCoefficients:
@@ -76,6 +78,10 @@ class TestBarrierCoefficients:
             k = np.sqrt(et)
             assert abs(complex(t) - t_o) < 1e-10
             assert abs(complex(r) - r_o * np.exp(-2j * k * HALF_WIDTH_REF)) < 1e-10
+
+    def test_rejects_zero_energy(self):
+        with pytest.raises(InvalidInputError, match="energy ratios must be positive"):
+            barrier_coefficients([0.5, 0.0], 1.0, HALF_WIDTH_REF)
 
     def test_barrier_top_limit(self):
         # at E = barrier height the amplitude reduces to exp(-2ika)/(1 - iak)
@@ -276,6 +282,11 @@ class TestPipelineAmplitudes:
             for i, e in enumerate(energies):
                 p = BarrierParams(float(e), 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
                 assert max_abs(piped[cfg][i] - pipeline_m(p, double)) <= 1e-13
+
+    def test_rejects_a_2d_grid(self):
+        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        with pytest.raises(InvalidInputError, match="1-D"):
+            pipeline_amplitudes(base, np.linspace(0.1, 0.9, 6).reshape(2, 3))
 
     def test_builds_the_barrier_stack_once(self, monkeypatch):
         built = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scatchan import smatrix
+from scatchan.channel import transmission_operator
 from scatchan.errors import (
     ConversionUnavailableError,
     InvalidInputError,
@@ -38,6 +39,10 @@ class TestPortSpec:
     def test_rejects_unbalanced(self):
         with pytest.raises(InvalidInputError):
             PortSpec(2, 1, 0, 0, 1)
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(InvalidInputError, match="negative slot count"):
+            PortSpec(1, 1, -1, -1, 1)
 
     def test_rejects_bad_dim(self):
         with pytest.raises(InvalidInputError):
@@ -82,16 +87,29 @@ class TestBlocks:
         s = ScatteringMatrix(np.eye(2), SPEC11)
         assert np.allclose(s.block("L", "R"), [[0.0]])
 
-    def test_slot_block(self):
+    @pytest.mark.parametrize("out_group, in_group, problem", [
+        ("X", "L", "unknown out group 'X'"),
+        ("R", "X", "unknown in group 'X'"),
+    ], ids=["out", "in"])
+    def test_unknown_group_rejected(self, out_group, in_group, problem):
+        with pytest.raises(InvalidInputError, match=problem):
+            ScatteringMatrix(SWAP, SPEC11).block(out_group, in_group)
+
+    def test_transmission_block(self):
         rng = np.random.default_rng(0)
         s = random_smatrix(rng, 2, 2)
-        assert max_abs(s.slot_block(3, 1) - s.matrix[6:8, 2:4]) == 0.0
+        assert max_abs(transmission_operator(s, 2, 4) - s.matrix[6:8, 2:4]) == 0.0
 
     def test_permuted_moves_slots(self):
         rng = np.random.default_rng(1)
         s = random_smatrix(rng, 2, 1)
         p = s.permuted([1, 0, 2, 3], [0, 1, 3, 2])
-        assert max_abs(p.slot_block(3, 0) - s.slot_block(2, 1)) == 0.0
+        assert max_abs(transmission_operator(p, 1, 4) - transmission_operator(s, 2, 3)) == 0.0
+
+    def test_permuted_rejects_a_non_permutation(self):
+        s = random_smatrix(np.random.default_rng(1), 2, 1)
+        with pytest.raises(InvalidInputError, match="out_slots is not a permutation"):
+            s.permuted([0, 1, 2, 3], [0, 1, 1, 3])
 
     def test_slot_permutation_index_matches_permuted(self):
         rng = np.random.default_rng(4)
@@ -99,7 +117,7 @@ class TestBlocks:
         index = slot_permutation_index([3, 1, 0, 2], [2, 0, 3, 1], 2)
         got = s.reindexed(index, s.spec)
         assert max_abs(got.matrix - s.permuted([3, 1, 0, 2], [2, 0, 3, 1]).matrix) == 0.0
-        assert max_abs(got.slot_block(0, 0) - s.slot_block(2, 3)) == 0.0
+        assert max_abs(transmission_operator(got, 1, 1) - transmission_operator(s, 4, 3)) == 0.0
 
 
 class TestReindexed:
@@ -212,6 +230,11 @@ class TestConversion:
         t = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ConversionUnavailableError):
             t_to_s(t, 1)
+
+    def test_portless_scatterer_unconvertible(self):
+        s = ScatteringMatrix(np.zeros((0, 0)), PortSpec(0, 0, 0, 0, 1))
+        with pytest.raises(ConversionUnavailableError, match="is empty"):
+            s_to_t(s)
 
     @pytest.mark.parametrize("t, dim", [
         (np.stack([np.eye(2)] * 3), 1),
