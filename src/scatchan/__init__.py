@@ -33,7 +33,6 @@ _EXPORTS = {
     "capacity_bounds": "capacity",
     "check_data_processing": "capacity",
     "closed_form_amplitudes": "physics",
-    "closed_form_m": "physics",
     "contract": "graph",
     "detect_superactivation": "capacity",
     "energy_sweep": "physics",

@@ -1,6 +1,6 @@
 """Scenario-driven batch runner.
 
-Subcommands:
+Commands:
   run <scenario.json>     evaluate a scenario, emit CSV and SVG into --out
   verify <scenario.json>  run the oracle cross-checks, print one
                           "name: residual" line per named check
@@ -57,12 +57,7 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _COLORS = ("#1f5fa8", "#c23b22", "#2e8540", "#8a5fa8")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    raw = np.linspace(lo, hi, n)
-    return [float(t) for t in raw]
-
-
-def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
+def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask) -> str:
     """Polyline plot as an SVG 1.1 string.
 
     ``curves`` is a list of (label, y-array); ``shade_mask`` marks x-ranges
@@ -107,28 +102,27 @@ def svg_line_plot(x, curves, title, xlabel, ylabel, shade_mask=None) -> str:
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
-    if shade_mask is not None:
-        mask = np.asarray(shade_mask, dtype=bool)
-        edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-        for a, b in zip(edges[::2], edges[1::2]):
-            x0, x1 = px(x[a]), px(x[min(b, len(x) - 1)])
-            parts.append(
-                f'<rect x="{x0:.2f}" y="{_MT}" width="{max(x1 - x0, 0.5):.2f}" '
-                f'height="{ph}" fill="#f5c6c6" fill-opacity="0.6"/>'
-            )
+    mask = np.asarray(shade_mask, dtype=bool)
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    for a, b in zip(edges[::2], edges[1::2]):
+        x0, x1 = px(x[a]), px(x[min(b, len(x) - 1)])
+        parts.append(
+            f'<rect x="{x0:.2f}" y="{_MT}" width="{max(x1 - x0, 0.5):.2f}" '
+            f'height="{ph}" fill="#f5c6c6" fill-opacity="0.6"/>'
+        )
 
     # axes + ticks
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
         f'fill="none" stroke="black"/>'
     )
-    for t in _ticks(x_lo, x_hi):
+    for t in np.linspace(x_lo, x_hi, 5).tolist():
         xx = px(t)
         parts.append(f'<line x1="{xx:.2f}" y1="{_MT + ph}" x2="{xx:.2f}" '
                      f'y2="{_MT + ph + 5}" stroke="black"/>')
         parts.append(f'<text x="{xx:.2f}" y="{_MT + ph + 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12">{t:.3g}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t in np.linspace(y_lo, y_hi, 5).tolist():
         yy = py(t)
         parts.append(f'<line x1="{_ML - 5}" y1="{yy:.2f}" x2="{_ML}" '
                      f'y2="{yy:.2f}" stroke="black"/>')
@@ -465,19 +459,12 @@ def main(argv=None) -> int:
         "--threads", type=int, default=1,
         help="accepted for compatibility; sweeps run in one thread",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a scenario, emit CSV/SVG")
-    p_run.add_argument("scenario")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_ver = sub.add_parser("verify", help="run oracle cross-checks")
-    p_ver.add_argument("scenario")
-    p_ver.set_defaults(func=_cmd_verify)
-
+    parser.add_argument("command", choices=("run", "verify"),
+                        help="run: emit CSV/SVG; verify: run oracle cross-checks")
+    parser.add_argument("scenario", help="scenario JSON file")
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return (_cmd_run if args.command == "run" else _cmd_verify)(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

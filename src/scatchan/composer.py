@@ -21,9 +21,10 @@ Every function here takes one scattering matrix or two stacks of equal
 leading shape (one matrix per energy of a sweep, say) through the same code:
 blocks are sliced on the last two axes, one batched interface product gives
 both the loop matrices and the assembly's cross terms, only the rows the LU
-inverse cannot certify are decomposed by SVD, and the kernel check runs
-only on the rows whose loop is singular.  A gate on a stack measures its
-worst row, so one bad row fails the whole stack.
+inverse cannot certify are decomposed by SVD (every row, when LU meets an
+exact zero pivot in one), and the kernel check runs only on the rows whose
+loop is singular.  A gate on a stack measures its worst row, so one bad
+row fails the whole stack.
 
 :func:`star` gates every result on unitarity and measures its inputs only
 when that gate fails, so a successful call makes one measurement.  Results
@@ -188,8 +189,6 @@ def pad_to_homogeneous(s: ScatteringMatrix, target_k: int) -> ScatteringMatrix:
         raise InvalidInputError(
             f"target_k={target_k} smaller than largest group count {max(counts)}"
         )
-    if spec.homogeneous and spec.left_in == target_k:
-        return s
     k, n = target_k, 2 * target_k * spec.dim
     out = np.zeros(s.matrix.shape[:-2] + (n, n), dtype=complex)
     out[..., :spec.out_dim, :spec.in_dim] = s.matrix
@@ -230,16 +229,16 @@ def extract_physical(
     return ScatteringMatrix._trusted(m[..., :rows, :cols].copy(), spec)
 
 
-def _kernel_residual(kmat, s2, s1) -> float:
-    """The largest Kostrykin-Schrader decoupling residual over the columns
-    of the kernel basis ``kmat`` (NaN if any residual is: the array max
-    keeps a NaN)."""
+def _kernel_residual(kmat, s2, s1, i) -> float:
+    """The largest Kostrykin-Schrader decoupling residual of row ``i`` of
+    the pair (``()`` for one matrix) over the columns of the kernel basis
+    ``kmat`` (NaN if any residual is: the array max keeps a NaN)."""
     kc = kmat.conj()
     return float(np.concatenate((
-        np.linalg.norm(s1.block("L", "R") @ kmat, axis=0),
-        np.linalg.norm(s2.block("R", "L") @ (s1.block("R", "R") @ kmat), axis=0),
-        np.linalg.norm(s2.block("L", "R").T @ kc, axis=0),
-        np.linalg.norm((s2.block("L", "L") @ s1.block("R", "L")).T @ kc, axis=0),
+        np.linalg.norm(s1.block("L", "R")[i] @ kmat, axis=0),
+        np.linalg.norm(s2.block("R", "L")[i] @ (s1.block("R", "R")[i] @ kmat), axis=0),
+        np.linalg.norm(s2.block("L", "R")[i].T @ kc, axis=0),
+        np.linalg.norm((s2.block("L", "L")[i] @ s1.block("R", "L")[i]).T @ kc, axis=0),
     )).max())
 
 
@@ -250,17 +249,14 @@ def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix, hop: np.ndarray):
     A batched LU inverse serves each row it certifies: sigma_min >
     KERNEL_SV_TOL and cond_2 < 1 / DEFAULT_REL_TOL, so it is the
     pseudo-inverse (a NaN or Inf fails).  The rest take the SVD
-    pseudo-inverse, and its singular rows the kernel check.  A row on which
-    LU meets an exact zero pivot (det, from the same factorization, is 0 or
-    NaN) stays NaN and so uncertified; the other rows keep their LU inverse."""
+    pseudo-inverse, and its singular rows the kernel check.  When LU meets
+    an exact zero pivot in any row, the whole stack stays NaN and so
+    uncertified: every row takes the SVD."""
     loop = np.eye(hop.shape[-1]) - hop
     try:
         linv = np.linalg.inv(loop)
     except np.linalg.LinAlgError:
         linv = np.full_like(loop, np.nan)
-        lu = np.linalg.det(loop) != 0
-        if lu.any():  # never for one matrix, whose one row just failed
-            linv[lu] = np.linalg.inv(loop[lu])
     inv_norm = np.linalg.norm(linv, axis=(-2, -1))
     regular = (inv_norm * KERNEL_SV_TOL < 1) & (
         np.linalg.norm(loop, axis=(-2, -1)) * inv_norm * DEFAULT_REL_TOL < 1)
@@ -271,11 +267,11 @@ def _loop_inverse(s2: ScatteringMatrix, s1: ScatteringMatrix, hop: np.ndarray):
     linv[rows], sing, v = pseudo_inverse(loop.reshape(-1, n, n)[rows])
     kernel_dim, residual = 0, 0.0
     for j in np.flatnonzero(sing[:, -1] < KERNEL_SV_TOL):
-        i = np.unravel_index(rows[j], regular.shape)
         kmat = v[j][:, sing[j] < KERNEL_SV_TOL]
         kernel_dim += kmat.shape[1]
         # np.maximum keeps a NaN residual; the builtin max could drop it.
-        residual = np.maximum(residual, _kernel_residual(kmat, s2.row(i), s1.row(i)))
+        residual = np.maximum(residual, _kernel_residual(
+            kmat, s2, s1, np.unravel_index(rows[j], regular.shape)))
     return linv.reshape(loop.shape), kernel_dim, float(residual)
 
 

@@ -139,19 +139,19 @@ class _Plan:
     final_spec: PortSpec
 
 
-def _merge_ports(a_in, a_out, b_in, b_out, edges: list, d: int):
+def _merge_ports(a_in, a_out, b_in, b_out, edges, d: int):
     """Slot bookkeeping of one star merge of super-vertex ``a`` (left
-    factor) with ``b``, given their remaining in/out ports.
+    factor) with ``b``, given their remaining in/out ports and the graph's
+    internal edges.
 
-    Returns the reindexing and port spec of each factor, the merged in/out
-    ports, and the internal edges still unresolved.
+    Returns the reindexing and port spec of each factor and the merged
+    in/out ports.  A wired edge's ports leave every port list, so no later
+    merge matches that edge again.
     """
     a_out_set, a_in_set = set(a_out), set(a_in)
     b_out_set, b_in_set = set(b_out), set(b_in)
     fwd = [(src, dst) for src, dst in edges if src in a_out_set and dst in b_in_set]
     bwd = [(src, dst) for src, dst in edges if src in b_out_set and dst in a_in_set]
-    wired = set(fwd) | set(bwd)
-    remaining = [e for e in edges if e not in wired]
 
     a_ext_in = [p for p in a_in if p not in {dst for _, dst in bwd}]
     a_ext_out = [p for p in a_out if p not in {src for src, _ in fwd}]
@@ -174,7 +174,7 @@ def _merge_ports(a_in, a_out, b_in, b_out, edges: list, d: int):
     )
     b_spec = PortSpec(len(fwd), len(bwd), len(b_ext_in), len(b_ext_out), d)
     return (a_index, a_spec, b_index, b_spec,
-            a_ext_in + b_ext_in, a_ext_out + b_ext_out, remaining)
+            a_ext_in + b_ext_in, a_ext_out + b_ext_out)
 
 
 @lru_cache(maxsize=64)
@@ -195,7 +195,6 @@ def _compile(vertex_specs, internal_edges, dangling_in, dangling_out, order) -> 
               [(vid, j) for j in range(spec.total_out)])
         for vid, spec in vertex_specs
     }
-    edges = list(internal_edges)
 
     if order is None:
         ids = sorted(ports)
@@ -208,8 +207,8 @@ def _compile(vertex_specs, internal_edges, dangling_in, dangling_out, order) -> 
         if ia == ib:
             raise InvalidInputError(f"cannot contract vertex {ia} with itself")
         (a_in, a_out), (b_in, b_out) = ports[ia], ports[ib]
-        a_index, a_spec, b_index, b_spec, m_in, m_out, edges = _merge_ports(
-            a_in, a_out, b_in, b_out, edges, d
+        a_index, a_spec, b_index, b_spec, m_in, m_out = _merge_ports(
+            a_in, a_out, b_in, b_out, internal_edges, d
         )
         keep = min(ia, ib)
         steps.append(_Step(ia, ib, keep, a_index, a_spec, b_index, b_spec))

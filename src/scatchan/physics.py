@@ -15,8 +15,8 @@ per energy, in chunks of at most PIPELINE_CHUNK energies; the closed form
 :func:`pipeline_gap` is the one comparison of the two.  The pipeline builds
 the double line as the paper's resonant concatenation: the contracted single
 line (barrier, then loss scatterer) star-merged with the second barrier.
-:func:`closed_form_m` and :func:`pipeline_m` are the one-point calls.  The
-barrier-line builders (:func:`barrier_smatrix`, :func:`translated_barrier`,
+:func:`pipeline_m` is the pipeline's one-point call.  The barrier-line
+builders (:func:`barrier_smatrix`, :func:`translated_barrier`,
 :func:`barrier_lines`) take a grid or a single energy: one matrix for a
 scalar, a stack for a 1-D grid.
 """
@@ -171,7 +171,9 @@ def barrier_lines(base: BarrierParams, energies) -> dict:
     port 1 and Bob on port 4 of both.
     """
     barrier = barrier_smatrix(base, energies)
-    loss = loss_smatrix(base.eta).broadcast_to(np.shape(energies))
+    loss = loss_smatrix(base.eta)
+    loss = ScatteringMatrix._trusted(
+        np.broadcast_to(loss.matrix, np.shape(energies) + loss.matrix.shape), loss.spec)
     ports = [(1, 0), (2, 1), (2, 2), (2, 3)]
     single = contract(QuantumGraph.build(
         vertices=[(1, barrier), (2, loss)],
@@ -217,7 +219,7 @@ def pipeline_amplitudes(base: BarrierParams, energies) -> dict:
 def pipeline_m(p: BarrierParams, double: bool) -> np.ndarray:
     """Transmission operator through graph contraction at one energy; the
     one-point call of :func:`pipeline_amplitudes` (which contracts both
-    lines), mirroring :func:`closed_form_m`."""
+    lines)."""
     return pipeline_amplitudes(p, [p.energy_ratio])["double" if double else "single"][0]
 
 
@@ -287,13 +289,6 @@ def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
         raise InternalConsistencyError(
             f"closed-form transmission probability {worst:.12f} exceeds unity")
     return out
-
-
-def closed_form_m(p: BarrierParams, double: bool) -> np.ndarray:
-    """Closed-form transmission operator at one energy; mirrors
-    :func:`pipeline_m`."""
-    amp = closed_form_amplitudes(p, [p.energy_ratio])
-    return np.diag(amp["double" if double else "single"][0])
 
 
 def pipeline_gap(base: BarrierParams, energies, closed: dict) -> np.ndarray:

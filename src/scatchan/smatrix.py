@@ -138,16 +138,6 @@ class ScatteringMatrix:
         obj.spec = spec
         return obj
 
-    def row(self, i) -> "ScatteringMatrix":
-        """Matrix ``i`` of a stack."""
-        return ScatteringMatrix._trusted(self.matrix[i], self.spec)
-
-    def broadcast_to(self, lead: tuple) -> "ScatteringMatrix":
-        """This matrix repeated along leading axes of shape ``lead`` (a
-        read-only view)."""
-        shape = tuple(lead) + self.matrix.shape[-2:]
-        return ScatteringMatrix._trusted(np.broadcast_to(self.matrix, shape), self.spec)
-
     def reindexed(self, index, spec: PortSpec) -> "ScatteringMatrix":
         """Rows/columns picked by a precomputed slot-permutation index
         (see :func:`slot_permutation_index`), under ``spec``: a C-ordered

@@ -322,6 +322,15 @@ class TestVerify:
         assert capsys.readouterr().err == "FAIL: star/series gap: nan exceeds 1e-09\n"
 
 
+def test_help_names_both_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "{run,verify}" in usage
+    assert "run:" in usage and "verify:" in usage
+
+
 def test_star_subcommand_is_gone(tmp_path, capsys):
     # Two scatterers are composed by a star-demo scenario through ``run``.
     paths = [str(tmp_path / name) for name in ("a.json", "b.json", "w.json")]
@@ -333,12 +342,23 @@ def test_star_subcommand_is_gone(tmp_path, capsys):
 
 
 def test_fig2_csv_golden(tmp_path):
-    # The paper's figure at 20k points: its bytes and its superactivation rows.
+    # The paper's figure at 20k points: its bytes and its superactivation rows,
+    # with the bytes of its plots and of the bundled star demo beside them.
     assert cli.main(["--out", str(tmp_path), "--threads", "1", "run",
                      scenario_path("fig2_eps0.json")]) == 0
+    assert cli.main(["--out", str(tmp_path), "run", scenario_path("star_demo.json")]) == 0
     data = (tmp_path / "fig2_eps0.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
         "653497b8d677691a083590278cafd0aad548a94fc7eff767b5d847d588400b86")
+    for name, digest in (
+        ("fig2_eps0_capacity.svg",
+         "aec31ff078a52b81a8261459a2d7ffde36d27048fcd5294d886c1283c79af4de"),
+        ("fig2_eps0_transmission.svg",
+         "4c5f731371e71cd786f0c628c2802a2ffe9d4cbfe8207447cbc6f3359d786774"),
+        ("star_demo_star.json",
+         "3cce3aed2c21562985bbdc63bcb71aca1f848f9ea4679700ef5f2534175b2ab9"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
     flags = [line.rsplit(b",", 1)[1] for line in data.splitlines()[1:]]
     assert len(flags) == 20000 and flags.count(b"1") == 80
 
@@ -549,7 +569,7 @@ class TestSvgEnvelope:
         n = 8000
         x = np.linspace(0.0, 1.0, n)
         y = np.round(np.random.default_rng(4).random(n), 1)
-        svg = cli.svg_line_plot(x, [("y", y)], "t", "x", "y")
+        svg = cli.svg_line_plot(x, [("y", y)], "t", "x", "y", np.zeros(n, dtype=bool))
         points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
 
         pw = cli._SVG_W - cli._ML - cli._MR

@@ -16,7 +16,6 @@ from scatchan.physics import (
     barrier_lines,
     barrier_smatrix,
     closed_form_amplitudes,
-    closed_form_m,
     energy_sweep,
     loss_smatrix,
     pipeline_amplitudes,
@@ -24,7 +23,7 @@ from scatchan.physics import (
     translated_barrier,
 )
 from scatchan.graph import contract, validate
-from scatchan.smatrix import UNITARITY_TOL, PortSpec, unitarity_defect
+from scatchan.smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
 
 HALF_WIDTH_REF = 0.06 * np.sqrt(20)
 SEPARATION_REF = 10 * np.sqrt(20)
@@ -227,21 +226,23 @@ class TestLossScatterer:
 class TestClosedForms:
     def test_eta_one_kills_transmission(self):
         p = BarrierParams(0.5, half_width=0.2, separation=1.0, eta=1.0)
-        assert max_abs(closed_form_m(p, False)) == 0.0
-        assert max_abs(closed_form_m(p, True)) == 0.0
+        closed = closed_form_amplitudes(p, [p.energy_ratio])
+        assert max_abs(closed["single"]) == 0.0
+        assert max_abs(closed["double"]) == 0.0
 
     def test_high_energy_lossless_single(self):
         p = BarrierParams(200.0, half_width=HALF_WIDTH_REF, eta=0.0)
-        m = closed_form_m(p, False)
-        assert abs(m[0, 0]) ** 2 > 0.99
+        m_up = closed_form_amplitudes(p, [p.energy_ratio])["single"][0, 0]
+        assert abs(m_up) ** 2 > 0.99
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("eta", [0.0, 0.1])
     def test_matches_pipeline(self, eps, eta):
         for et in (0.11, 0.47, 0.93, 1.31):
             p = BarrierParams(et, eps, HALF_WIDTH_REF, SEPARATION_REF, eta)
-            assert max_abs(pipeline_m(p, False) - closed_form_m(p, False)) < 1e-9
-            assert max_abs(pipeline_m(p, True) - closed_form_m(p, True)) < 1e-9
+            closed = closed_form_amplitudes(p, [et])
+            assert max_abs(pipeline_m(p, False) - np.diag(closed["single"][0])) < 1e-9
+            assert max_abs(pipeline_m(p, True) - np.diag(closed["double"][0])) < 1e-9
 
     def test_returns_the_pipelines_diagonals(self):
         base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
@@ -249,10 +250,10 @@ class TestClosedForms:
         closed = closed_form_amplitudes(base, energies)
         piped = pipeline_amplitudes(base, energies)
         assert closed.keys() == piped.keys()
-        p = BarrierParams(float(energies[7]), 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        for cfg, double in (("single", False), ("double", True)):
+        point = closed_form_amplitudes(base, energies[7:8])
+        for cfg in ("single", "double"):
             assert closed[cfg].shape == np.diagonal(piped[cfg], axis1=-2, axis2=-1).shape
-            assert np.array_equal(closed_form_m(p, double), np.diag(closed[cfg][7]))
+            assert np.array_equal(point[cfg][0], closed[cfg][7])
 
     def test_lossless_resonance_peak(self):
         energies = np.linspace(0.01, 0.99, 30000)
@@ -267,8 +268,8 @@ class TestClosedForms:
             probs = []
             for eta in np.linspace(0.0, 1.0, 21):
                 p = BarrierParams(et, 0.0, HALF_WIDTH_REF, SEPARATION_REF, float(eta))
-                m = closed_form_m(p, True)
-                probs.append(abs(m[0, 0]) ** 2)
+                m_up = closed_form_amplitudes(p, [et])["double"][0, 0]
+                probs.append(abs(m_up) ** 2)
             assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
 
 
@@ -393,11 +394,13 @@ class TestPipelineGraphs:
         # second barrier) is the oracle for the concatenation.
         energies = np.linspace(0.005, 2.0, 200)
         barrier = barrier_smatrix(self.BASE, energies)
+        loss = loss_smatrix(self.BASE.eta)
         ports = [(1, 0), (2, 1), (2, 2), (3, 1)]
         three = graph.QuantumGraph.build(
             vertices=[
                 (1, barrier),
-                (2, loss_smatrix(self.BASE.eta).broadcast_to(energies.shape)),
+                (2, ScatteringMatrix._trusted(np.broadcast_to(
+                    loss.matrix, energies.shape + loss.matrix.shape), loss.spec)),
                 (3, translated_barrier(barrier, self.BASE.separation, energies)),
             ],
             internal_edges=[((1, 1), (2, 0)), ((2, 0), (1, 1)),
@@ -517,7 +520,7 @@ class TestLoudFailures:
     def test_resonance_floor_raises(self, tmp_path):
         p = BarrierParams(0.5, 0.0, 12.0, OPAQUE["separation"], 0.0)
         with pytest.raises(InternalConsistencyError, match="resonant denominator"):
-            closed_form_m(p, True)
+            closed_form_amplitudes(p, [p.energy_ratio])
         with pytest.raises(InternalConsistencyError, match="resonant denominator"):
             energy_sweep(p, [0.4, 0.5], cross_check_every=0)
         path = tmp_path / "opaque.json"

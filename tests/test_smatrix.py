@@ -139,7 +139,8 @@ class TestReindexed:
             "matrix": one,
             "stack": ScatteringMatrix._trusted(
                 np.stack([random_smatrix(rng, 2, 2).matrix for _ in range(5)]), one.spec),
-            "broadcast stack": one.broadcast_to((3, 5)),
+            "broadcast stack": ScatteringMatrix._trusted(
+                np.broadcast_to(one.matrix, (3, 5) + one.matrix.shape), one.spec),
         }[case]
         index = slot_permutation_index(self.IN_SLOTS, self.OUT_SLOTS, 2)
         got = s.reindexed(index, s.spec).matrix
@@ -147,7 +148,8 @@ class TestReindexed:
         assert np.array_equal(got, self.ix_form(s.matrix))
 
     def test_identity_relabels_without_a_copy(self):
-        s = random_smatrix(np.random.default_rng(7), 2, 1).broadcast_to((4,))
+        one = random_smatrix(np.random.default_rng(7), 2, 1)
+        s = ScatteringMatrix._trusted(np.broadcast_to(one.matrix, (4,) + one.matrix.shape), one.spec)
         assert slot_permutation_index(range(4), range(4), 1) is None
         spec = PortSpec(1, 3, 3, 1, 1)
         got = s.reindexed(None, spec)
