@@ -42,9 +42,17 @@ rounds, the spread against which a ratio of two trees is read:
   process that runs nothing else: ``PIPELINE_CALLS`` timed calls after as
   many warm-up calls; the best call of all rounds;
 * ``pipeline_200_minflt``: the median ``ru_minflt`` (minor page faults) per
-  call of those children (the median of their medians), which counts the
-  pages the allocator hands back to the kernel and takes again between
-  calls.
+  call in each of those children, which counts the pages the allocator
+  hands back to the kernel and takes again between calls; the row is the
+  mean over the children, each child's value is kept in
+  ``pipeline_200_minflt_children``, and ``quartiles`` are over children.
+  Whether the allocator trims depends on where the heap ends, which the
+  lengths of the strings a process starts with move: two copies of one
+  commit at paths of different length read 0 and 68.  So these children
+  import a copy of the tree's package at a path of the same length for
+  every tree, and round r passes an unused argument of ``LAYOUT_PAD * r``
+  characters, so that the rounds sample as many heap layouts and every tree
+  meets the same ones.
 
 The file also records the machine (nproc, Python and numpy versions); for
 each tree its git commit, ``dirty`` (whether the checkout has changes under
@@ -63,6 +71,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -74,6 +83,7 @@ import numpy as np
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
 REPEATS = 7
 PIPELINE_CALLS = 50
+LAYOUT_PAD = 8  # characters of the pipeline child's unused argument, per round
 CHILD_ROWS = {  # child-process wall-time rows and the arguments of their child
     "python_startup_s": ("-c", "pass"),
     "numpy_import_s": ("-c", "import numpy"),
@@ -96,7 +106,7 @@ CROSSCHECK_RSS = ("import resource, sys; from scatchan import cli, physics; "
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 # Prints the rows of one child: argv[1] is this script's directory and argv[2]
 # the function of this module that measures them (``pipeline_rows`` or
-# ``layer_times``).
+# ``layer_times``); a further argument only moves the heap.
 ROWS_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
               "print(json.dumps(getattr(bench, sys.argv[2])()))")
 
@@ -196,7 +206,11 @@ def _artifacts(out_dir: Path) -> dict:
 def measure(trees: dict) -> dict:
     results = {label: _tree(src) for label, src in trees.items()}
     samples = {label: {row: [] for row in ROWS} for label in trees}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as pkgs:
+        copies = {label: Path(pkgs) / f"{i:03d}" for i, label in enumerate(trees)}
+        for label, src in trees.items():
+            shutil.copytree(src / "scatchan", copies[label] / "scatchan",
+                            ignore=shutil.ignore_patterns("__pycache__"))
         for r in range(REPEATS):
             order = list(trees.items())
             for label, src in order[::-1] if r % 2 else order:
@@ -216,8 +230,9 @@ def measure(trees: dict) -> dict:
                 samples[label]["run_peak_rss_mb"].append(int(wrapped.stdout) / 1024)
                 swept = _child(src, "-c", CROSSCHECK_RSS, scenario)
                 samples[label]["crosscheck_full_peak_rss_mb"].append(int(swept.stdout) / 1024)
-                for rows in ("pipeline_rows", "layer_times"):
-                    done = _child(src, "-c", ROWS_CHILD, str(Path(__file__).parent), rows)
+                for tree, *args in ((copies[label], "pipeline_rows", "x" * (LAYOUT_PAD * r)),
+                                    (src, "layer_times")):
+                    done = _child(tree, "-c", ROWS_CHILD, str(Path(__file__).parent), *args)
                     for row, value in json.loads(done.stdout).items():
                         samples[label][row].append(value)
         for label in trees:
@@ -227,7 +242,9 @@ def measure(trees: dict) -> dict:
         results[label]["quartiles"] = {
             row: [float(q) for q in np.percentile(v, [25, 50, 75])]
             for row, v in samples[label].items()}
-        results[label]["pipeline_200_minflt"] = float(np.median(samples[label]["pipeline_200_minflt"]))
+        children = samples[label]["pipeline_200_minflt"]
+        results[label]["pipeline_200_minflt"] = float(np.mean(children))
+        results[label]["pipeline_200_minflt_children"] = children
     return results
 
 

@@ -42,7 +42,7 @@ fresh pages.  Every result and loop inverse is a fresh array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class Wiring:
     right of s2) groups.
     """
 
-    s1_to_s2: tuple = field(default_factory=tuple)
-    s2_to_s1: tuple = field(default_factory=tuple)
+    s1_to_s2: tuple = ()
+    s2_to_s1: tuple = ()
 
 
 def _validate_pair(s2: ScatteringMatrix, s1: ScatteringMatrix,

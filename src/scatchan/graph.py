@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .composer import star
 from .errors import InvalidInputError
 from .smatrix import PortSpec, ScatteringMatrix, slot_permutation_index
@@ -113,32 +111,6 @@ def _topology_problems(vertex_specs, internal_edges, dangling_in, dangling_out):
     return errors
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One precompiled merge: super-vertex ``left`` (the left factor,
-    reindexed by ``a_index`` under ``a_spec``) star-merged with ``right``
-    (``b_index`` under ``b_spec``); the result is stored under ``keep``."""
-
-    left: int
-    right: int
-    keep: int
-    a_index: np.ndarray | None
-    a_spec: PortSpec
-    b_index: np.ndarray | None
-    b_spec: PortSpec
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Contraction of one graph topology: merges in order, then the final
-    reordering onto the dangling labels."""
-
-    steps: tuple
-    root: int
-    final_index: np.ndarray | None
-    final_spec: PortSpec
-
-
 def _merge_ports(a_in, a_out, b_in, b_out, edges, d: int):
     """Slot bookkeeping of one star merge of super-vertex ``a`` (left
     factor) with ``b``, given their remaining in/out ports and the graph's
@@ -178,8 +150,14 @@ def _merge_ports(a_in, a_out, b_in, b_out, edges, d: int):
 
 
 @lru_cache(maxsize=64)
-def _compile(vertex_specs, internal_edges, dangling_in, dangling_out, order) -> _Plan:
+def _compile(vertex_specs, internal_edges, dangling_in, dangling_out, order):
     """Validate one graph topology and precompute every merge.
+
+    Returns ``(steps, root, final_index, final_spec)``.  Each step is a
+    tuple ``(left, right, keep, a_index, a_spec, b_index, b_spec)``: vertex
+    ``left`` reindexed by ``a_index`` under ``a_spec`` is the left factor of
+    a star merge with ``right`` (``b_index``, ``b_spec``), stored as ``keep``.
+    The last super-vertex ``root`` is then reordered onto the dangling labels.
 
     The arguments hold everything validation and slot bookkeeping depend on
     (vertex ids with their port specs, the wiring, the order), so the plan
@@ -211,7 +189,7 @@ def _compile(vertex_specs, internal_edges, dangling_in, dangling_out, order) -> 
             a_in, a_out, b_in, b_out, internal_edges, d
         )
         keep = min(ia, ib)
-        steps.append(_Step(ia, ib, keep, a_index, a_spec, b_index, b_spec))
+        steps.append((ia, ib, keep, a_index, a_spec, b_index, b_spec))
         del ports[max(ia, ib)]
         ports[keep] = (m_in, m_out)
 
@@ -228,7 +206,7 @@ def _compile(vertex_specs, internal_edges, dangling_in, dangling_out, order) -> 
         [final_out.index(p) for p in dangling_out],
         d,
     )
-    return _Plan(tuple(steps), root, final_index, PortSpec(n, n, 0, 0, d))
+    return tuple(steps), root, final_index, PortSpec(n, n, 0, 0, d)
 
 
 def contract(g: QuantumGraph, order=None) -> ScatteringMatrix:
@@ -243,7 +221,7 @@ def contract(g: QuantumGraph, order=None) -> ScatteringMatrix:
     port specs, so it contracts vertex stacks (one matrix per energy of a
     sweep) in one pass as well.
     """
-    plan = _compile(
+    steps, root, final_index, final_spec = _compile(
         tuple((vid, s.spec) for vid, s in g.vertices),
         g.internal_edges,
         g.dangling_in,
@@ -251,10 +229,7 @@ def contract(g: QuantumGraph, order=None) -> ScatteringMatrix:
         None if order is None else tuple(tuple(pair) for pair in order),
     )
     live = dict(g.vertices)
-    for step in plan.steps:
-        a, b = live.pop(step.left), live.pop(step.right)
-        live[step.keep] = star(
-            b.reindexed(step.b_index, step.b_spec),
-            a.reindexed(step.a_index, step.a_spec),
-        )
-    return live[plan.root].reindexed(plan.final_index, plan.final_spec)
+    for left, right, keep, a_index, a_spec, b_index, b_spec in steps:
+        a, b = live.pop(left), live.pop(right)
+        live[keep] = star(b.reindexed(b_index, b_spec), a.reindexed(a_index, a_spec))
+    return live[root].reindexed(final_index, final_spec)

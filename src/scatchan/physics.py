@@ -97,6 +97,13 @@ def barrier_coefficients(energy_ratio, height, half_width):
     return refl, trans
 
 
+def _spin_coefficients(base: BarrierParams, energies: np.ndarray):
+    """:func:`barrier_coefficients` of ``base`` at each energy for the spin
+    heights 1 + eps and 1 - eps, along a new last axis (spin up first)."""
+    return barrier_coefficients(
+        energies[..., None], np.array([1.0 + base.epsilon, 1.0 - base.epsilon]), base.half_width)
+
+
 def barrier_smatrix(base: BarrierParams, energies) -> ScatteringMatrix:
     """The 4x4 spin-resolved barrier scatterer (d=2, one slot per side) of
     ``base``'s epsilon and half width at each energy: one matrix for a
@@ -104,10 +111,7 @@ def barrier_smatrix(base: BarrierParams, energies) -> ScatteringMatrix:
     amplitudes: S^dag S - 1 has the entries |r|^2 + |t|^2 - 1 and
     2 Re(conj(r) t) for each spin."""
     energies = np.asarray(energies, dtype=float)
-    refl, trans = barrier_coefficients(
-        energies[..., None], np.array([1.0 + base.epsilon, 1.0 - base.epsilon]),
-        base.half_width,
-    )
+    refl, trans = _spin_coefficients(base, energies)
     if not (np.all(np.isfinite(refl)) and np.all(np.isfinite(trans))):
         raise InvalidInputError("barrier amplitudes contain NaN or Inf entries")
     defect = max_abs(np.stack((np.abs(refl) ** 2 + np.abs(trans) ** 2 - 1.0,
@@ -239,13 +243,6 @@ class SweepTable:
     q_up_double: np.ndarray
     superactivated: np.ndarray
 
-    CSV_COLUMNS = (
-        "E_over_V0",
-        "p_up_single", "p_dn_single", "p_up_double", "p_dn_double",
-        "q_low_single", "q_up_single", "q_low_double", "q_up_double",
-        "superactivated",
-    )
-
     def to_csv(self) -> str:
         """One header line, then per energy the nine float columns as
         ``%.12e`` and the flag as 0 or 1, byte-identical to formatting each
@@ -254,6 +251,10 @@ class SweepTable:
 
         values = np.column_stack([getattr(self, f.name) for f in fields(self)[:-1]])
         return csv_text(self.CSV_COLUMNS, values, self.superactivated)
+
+
+# The CSV header: the field names, with the energy column named E_over_V0.
+SweepTable.CSV_COLUMNS = ("E_over_V0", *(f.name for f in fields(SweepTable)[1:]))
 
 
 def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
@@ -268,10 +269,7 @@ def closed_form_amplitudes(base: BarrierParams, energies) -> dict:
     value is returned.
     """
     energies = np.asarray(energies, dtype=float)
-    r, t = barrier_coefficients(
-        energies[..., None], np.array([1.0 + base.epsilon, 1.0 - base.epsilon]),
-        base.half_width,
-    )
+    r, t = _spin_coefficients(base, energies)
     phi = 2.0 * np.sqrt(energies) * base.separation
     denom = 1.0 - (1.0 - base.eta) * r * r * np.exp(1j * phi)[..., None]
     size = np.abs(denom)

@@ -90,23 +90,22 @@ class ScatteringMatrix:
     """A scattering matrix together with its port partition.
 
     Immutable after construction; the underlying array is write-locked.
-    The checked constructor rejects a matrix (for a stack: any row) whose
-    unitarity defect exceeds ``UNITARITY_TOL``.
+    The public constructor always gates: it rejects a matrix (for a stack:
+    any row) whose unitarity defect exceeds ``UNITARITY_TOL``.
     """
 
-    def __init__(self, matrix, spec: PortSpec, check: bool = True):
+    def __init__(self, matrix, spec: PortSpec):
         m = as_matrix(matrix).copy()
         if m.shape[-2:] != (spec.out_dim, spec.in_dim):
             raise InvalidInputError(
                 f"matrix shape {m.shape} does not match spec "
                 f"({spec.out_dim}, {spec.in_dim})"
             )
-        if check:
-            defect = unitarity_defect(m)
-            if not defect <= UNITARITY_TOL:  # a NaN fails too
-                raise NonUnitaryError(
-                    f"max |S^dag S - 1| = {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
-                )
+        defect = unitarity_defect(m)
+        if not defect <= UNITARITY_TOL:  # a NaN fails too
+            raise NonUnitaryError(
+                f"max |S^dag S - 1| = {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
+            )
         m.flags.writeable = False
         self.matrix = m
         self.spec = spec
@@ -220,4 +219,4 @@ def t_to_s(t, dim: int) -> ScatteringMatrix:
     s = np.block([[-inv_ab @ t_aa, inv_ab],
                   [t_ba - t_bb @ inv_ab @ t_aa, t_bb @ inv_ab]])
     k = h // dim
-    return ScatteringMatrix(s, PortSpec(k, k, k, k, dim), check=False)
+    return ScatteringMatrix._trusted(as_matrix(s), PortSpec(k, k, k, k, dim))

@@ -6,7 +6,7 @@ All randomness is seeded at the call site; nothing here owns global state.
 import numpy as np
 
 from scatchan.channel import ErasureChannel, kraus_set
-from scatchan.numerics import as_single_matrix, max_abs
+from scatchan.numerics import as_matrix, as_single_matrix, max_abs
 from scatchan.smatrix import PortSpec, ScatteringMatrix
 
 
@@ -15,6 +15,12 @@ def random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def unchecked_smatrix(matrix, spec):
+    """A ScatteringMatrix of a copy of ``matrix`` that skips the unitarity
+    gate: the deliberately non-unitary inputs of the tests."""
+    return ScatteringMatrix._trusted(as_matrix(matrix).copy(), spec)
 
 
 def random_smatrix(rng, k, d):

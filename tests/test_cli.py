@@ -363,6 +363,70 @@ def test_fig2_csv_golden(tmp_path):
     assert len(flags) == 20000 and flags.count(b"1") == 80
 
 
+@pytest.mark.parametrize("name, digests, superactivated", [
+    ("fig2_eps01", ("1ff56d132573b49ae05a978eca8f3409137023ff756abef7ddc0e9e901a7e38f",
+                    "b1ef68867e2d3243f1f49e17e25972d355fd4b112aaa53d8a77385e888ff9dcf",
+                    "0d0bd9077305d2c6277d0b01ea79368bd85a5cca7997a8f099549da69c3016e7"), 62),
+    ("lossless", ("7293db271e758abd2e65b74f797e90de447fdf38c799fb51c1f62328ebaada7d",
+                  "5824a3900b565e7dab9d5266992737897fdb3570342121440db014c38e610ab6",
+                  "6899983adcca64739f8f73978678a7a758d175235e9c577faccb989fd6a93c4c"), 241),
+])
+def test_bundled_sweep_golden(tmp_path, name, digests, superactivated):
+    # The other two bundled sweeps: the bytes of the CSV and of both plots,
+    # and the CSV's count of superactivated rows.
+    assert cli.main(["--out", str(tmp_path), "run", scenario_path(f"{name}.json")]) == 0
+    for suffix, digest in zip((".csv", "_capacity.svg", "_transmission.svg"), digests):
+        data = (tmp_path / f"{name}{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix
+    rows = (tmp_path / f"{name}.csv").read_bytes().splitlines()[1:]
+    flags = [line.rsplit(b",", 1)[1] for line in rows]
+    assert len(flags) == 20000 and flags.count(b"1") == superactivated
+
+
+# The verify stdout of each bundled scenario, verbatim.  A change that moves
+# a printed residual edits this table and records the old and new lines.
+VERIFY_STDOUT = {
+    "fig2_eps0": """\
+closed form checked against the pipeline at 65 of 20000 grid points: 2.289e-16
+star/series gap: 2.220e-16
+double-barrier unitarity defect: 4.441e-16
+Kraus completeness: 5.756e-19
+Choi negativity: 0.000e+00
+all residuals within tolerance
+""",
+    "fig2_eps01": """\
+closed form checked against the pipeline at 65 of 20000 grid points: 2.483e-16
+star/series gap: 2.483e-16
+double-barrier unitarity defect: 8.882e-16
+Kraus completeness: 2.474e-17
+Choi negativity: 6.762e-17
+all residuals within tolerance
+""",
+    "lossless": """\
+closed form checked against the pipeline at 65 of 20000 grid points: 2.483e-16
+star/series gap: 1.110e-16
+double-barrier unitarity defect: 6.661e-16
+Kraus completeness: 1.546e-17
+Choi negativity: 0.000e+00
+all residuals within tolerance
+""",
+    "star_demo": """\
+transmission block:
+[[0.333333333333+0.j]]
+star/series gap: 1.110e-16
+star unitarity defect: 2.220e-16
+|transmission| deviation from expected: 5.551e-17
+all residuals within tolerance
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_STDOUT))
+def test_bundled_verify_stdout_is_pinned(tmp_path, capsys, name):
+    assert cli.main(["--out", str(tmp_path), "verify", scenario_path(f"{name}.json")]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT[name]
+
+
 def test_run_is_deterministic(tmp_path):
     path = small_sweep(tmp_path)
     cli.main(["--out", str(tmp_path / "r1"), "--threads", "1", "run", path])

@@ -28,6 +28,7 @@ from conftest import (
     random_smatrix,
     random_unitary,
     singular_loop_pair,
+    unchecked_smatrix,
 )
 
 SPEC11 = PortSpec(1, 1, 1, 1, 1)
@@ -177,9 +178,7 @@ class TestPadding:
 
     def test_pure_transmission_pads_to_antidiagonal(self):
         amp = np.exp(0.4j)
-        s = ScatteringMatrix(
-            np.array([[amp]]), PortSpec(1, 0, 0, 1, 1), check=False
-        )
+        s = unchecked_smatrix(np.array([[amp]]), PortSpec(1, 0, 0, 1, 1))
         padded = pad_to_homogeneous(s, 1)
         assert max_abs(padded.matrix - np.array([[0, 1], [amp, 0]])) < 1e-15
 
@@ -201,8 +200,8 @@ class TestExtraction:
         rng = np.random.default_rng(13)
         a = np.exp(1j * rng.uniform(0, 2 * np.pi))
         b = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        s1 = ScatteringMatrix(np.array([[a]]), PortSpec(1, 0, 0, 1, 1), check=False)
-        s2 = ScatteringMatrix(np.array([[b]]), PortSpec(1, 0, 0, 1, 1), check=False)
+        s1 = unchecked_smatrix(np.array([[a]]), PortSpec(1, 0, 0, 1, 1))
+        s2 = unchecked_smatrix(np.array([[b]]), PortSpec(1, 0, 0, 1, 1))
         g = star(s2, s1)
         assert g.spec == PortSpec(1, 0, 0, 1, 1)
         assert g.matrix[0, 0] == pytest.approx(b * a, abs=1e-14)
@@ -223,7 +222,7 @@ class TestExtraction:
     def test_cross_coupling_detected(self):
         m = np.eye(4, dtype=complex)
         m[0, 3] = 1e-3
-        s_bar = ScatteringMatrix(m, PortSpec(2, 2, 2, 2, 1), check=False)
+        s_bar = unchecked_smatrix(m, PortSpec(2, 2, 2, 2, 1))
         with pytest.raises(DecouplingViolationError):
             extract_physical(s_bar, [0, 1], [0, 1], PortSpec(1, 1, 1, 1, 1))
 
@@ -352,7 +351,7 @@ class TestVerifiedInputs:
         rng = np.random.default_rng(41)
         spec = PortSpec(2, 2, 2, 2, 1)
         for build in (
-            lambda m: ScatteringMatrix(m, spec, check=False),
+            lambda m: unchecked_smatrix(m, spec),
             lambda m: ScatteringMatrix._trusted(m, spec),
         ):
             # Unitary unchecked inputs: the output gate passes on its own.
@@ -379,7 +378,7 @@ class TestOutputGate:
     def test_nonunitary_input_is_measured_and_the_call_returns(self, monkeypatch):
         rng = np.random.default_rng(42)
         spec = PortSpec(1, 1, 1, 1, 2)
-        bad = ScatteringMatrix(0.5 * random_unitary(rng, 4), spec, check=False)
+        bad = unchecked_smatrix(0.5 * random_unitary(rng, 4), spec)
         good = random_smatrix(rng, 1, 2)
         measured = count_measurements(monkeypatch)
         g = star(bad, good)
@@ -390,10 +389,10 @@ class TestOutputGate:
         assert unitarity_defect(h.matrix) > 1e-3
 
 
-def stacked(rows, check=True):
-    """One ScatteringMatrix holding the matrices of ``rows`` along a leading
-    axis; all rows share the first row's spec."""
-    return ScatteringMatrix(np.stack([r.matrix for r in rows]), rows[0].spec, check=check)
+def stacked(rows, build=ScatteringMatrix):
+    """One ScatteringMatrix, made by ``build``, holding the matrices of
+    ``rows`` along a leading axis; all rows share the first row's spec."""
+    return build(np.stack([r.matrix for r in rows]), rows[0].spec)
 
 
 def row_of(s, i):
@@ -469,10 +468,10 @@ class TestStacks:
         good2, good1 = singular_loop_pair(rng, 1, 1)
         # A non-unitary pair with loop 1 - 1*1 = 0 whose kernel mode leaks
         # out through s1's left-right block.
-        bad1 = ScatteringMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), SPEC11, check=False)
+        bad1 = unchecked_smatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), SPEC11)
         bad2 = ScatteringMatrix(np.eye(2), SPEC11)
         s2 = stacked([good2, bad2, good2])
-        s1 = stacked([good1, bad1, good1], check=False)
+        s1 = stacked([good1, bad1, good1], build=unchecked_smatrix)
         with pytest.raises(InternalConsistencyError, match="kernel modes couple"):
             star(s2, s1)
         star(stacked([good2]), stacked([good1]))  # the good rows alone compose

@@ -9,7 +9,7 @@ from scatchan.graph import QuantumGraph, contract, validate
 from scatchan.numerics import max_abs
 from scatchan.smatrix import PortSpec, ScatteringMatrix, unitarity_defect
 
-from conftest import random_smatrix, random_unitary
+from conftest import random_smatrix, random_unitary, unchecked_smatrix
 
 SWAP2 = ScatteringMatrix(
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), PortSpec(1, 1, 1, 1, 1)
@@ -265,6 +265,6 @@ class TestCompiledPlan:
         s1, s2 = random_smatrix(rng, 1, 1), random_smatrix(rng, 1, 1)
         assert unitarity_defect(contract(two_vertex_loop(s1, s2)).matrix) <= 1e-9
         # Same topology, but a corrupted local matrix that was never checked.
-        bad = ScatteringMatrix(0.5 * s2.matrix, s2.spec, check=False)
+        bad = unchecked_smatrix(0.5 * s2.matrix, s2.spec)
         result = contract(two_vertex_loop(s1, bad))
         assert unitarity_defect(result.matrix) > 1e-3

@@ -1,4 +1,8 @@
+import inspect
+from dataclasses import fields
+
 import scatchan
+from scatchan import graph, physics
 
 REMOVED = ("single_barrier_m", "double_barrier_m", "SpinChannelPair", "new_scattering",
            "loop_matrix", "TransferMatrix", "closed_form_m")
@@ -15,3 +19,12 @@ def test_exports_resolve_and_removed_names_are_gone():
 def test_stack_wrappers_are_gone():
     for name in ("row", "broadcast_to"):
         assert not hasattr(scatchan.ScatteringMatrix, name)
+
+
+def test_retired_names_are_gone():
+    # The constructor always gates, the contraction plan is plain tuples and
+    # the CSV header is read off the table's fields.
+    assert "check" not in inspect.signature(scatchan.ScatteringMatrix).parameters
+    assert not hasattr(graph, "_Step") and not hasattr(graph, "_Plan")
+    names = [f.name for f in fields(physics.SweepTable)]
+    assert physics.SweepTable.CSV_COLUMNS == ("E_over_V0", *names[1:])

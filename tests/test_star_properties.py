@@ -10,13 +10,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from scatchan.composer import star
-from scatchan.smatrix import ScatteringMatrix, unitarity_defect
+from scatchan.smatrix import unitarity_defect
 
 from conftest import (
     dishomogeneous_singular_loop_pair,
     random_dishomogeneous_pair,
     random_smatrix,
     singular_loop_pair,
+    unchecked_smatrix,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -55,9 +56,9 @@ def test_unitary_pairs_pass_the_gate(pair):
 def test_damped_unchecked_input_returns(pair, c, damp_s1):
     s2, s1 = pair
     if damp_s1:
-        s1 = ScatteringMatrix(c * s1.matrix, s1.spec, check=False)
+        s1 = unchecked_smatrix(c * s1.matrix, s1.spec)
     else:
-        s2 = ScatteringMatrix(c * s2.matrix, s2.spec, check=False)
+        s2 = unchecked_smatrix(c * s2.matrix, s2.spec)
     # Light entering the damped factor keeps at most c^2 of its power, so
     # the output fails the gate, and the damped input excuses it.
     assert unitarity_defect(star(s2, s1).matrix) > 1e-3
