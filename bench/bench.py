@@ -9,7 +9,18 @@ order, so that a parent and a change can be compared on the same machine
 state.  Each round runs every child below once per tree, and each row is
 the best of its ``time.perf_counter`` samples over all rounds; beside it,
 ``quartiles`` holds each row's 25th, 50th and 75th percentiles over the
-rounds, the spread against which a ratio of two trees is read:
+rounds, the spread against which a ratio of two trees is read.
+
+What a child process measures depends on the lengths of the strings it
+starts with, not only on its code: the page faults of ``pipeline_200_minflt``
+read 0 and 68, and ``run_peak_rss_mb`` 45.4 and 46.2 MB, for two copies of
+one commit at paths of different length.  So every child imports a copy of
+its tree's package at a path of the same length for every tree, reads the
+scenario from that copy and writes beside it, and in round r every child
+gets an unused environment variable of ``LAYOUT_PAD * r`` characters, so
+that the rounds sample as many start-up layouts and every tree meets the
+same ones.  The rows:
+
 
 * ``run_s``, ``verify_s``: ``python -m scatchan.cli --threads 1 run`` and
   ``... verify`` of the tree's ``fig2_eps0.json``, as child processes;
@@ -45,14 +56,8 @@ rounds, the spread against which a ratio of two trees is read:
   call in each of those children, which counts the pages the allocator
   hands back to the kernel and takes again between calls; the row is the
   mean over the children, each child's value is kept in
-  ``pipeline_200_minflt_children``, and ``quartiles`` are over children.
-  Whether the allocator trims depends on where the heap ends, which the
-  lengths of the strings a process starts with move: two copies of one
-  commit at paths of different length read 0 and 68.  So these children
-  import a copy of the tree's package at a path of the same length for
-  every tree, and round r passes an unused argument of ``LAYOUT_PAD * r``
-  characters, so that the rounds sample as many heap layouts and every tree
-  meets the same ones.
+  ``pipeline_200_minflt_children``, and ``quartiles`` are over children,
+  since whether the allocator trims depends on where the heap ends.
 
 The file also records the machine (nproc, Python and numpy versions); for
 each tree its git commit, ``dirty`` (whether the checkout has changes under
@@ -83,7 +88,7 @@ import numpy as np
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
 REPEATS = 7
 PIPELINE_CALLS = 50
-LAYOUT_PAD = 8  # characters of the pipeline child's unused argument, per round
+LAYOUT_PAD = 8  # characters of every child's unused environment variable, per round
 CHILD_ROWS = {  # child-process wall-time rows and the arguments of their child
     "python_startup_s": ("-c", "pass"),
     "numpy_import_s": ("-c", "import numpy"),
@@ -106,7 +111,7 @@ CROSSCHECK_RSS = ("import resource, sys; from scatchan import cli, physics; "
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 # Prints the rows of one child: argv[1] is this script's directory and argv[2]
 # the function of this module that measures them (``pipeline_rows`` or
-# ``layer_times``); a further argument only moves the heap.
+# ``layer_times``).
 ROWS_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
               "print(json.dumps(getattr(bench, sys.argv[2])()))")
 
@@ -172,8 +177,8 @@ def layer_times() -> dict:
     return times
 
 
-def _child(src: Path, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _child(src: Path, pad: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), BENCH_LAYOUT_PAD=pad)
     return subprocess.run([sys.executable, *args], env=env, check=True,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -206,37 +211,36 @@ def _artifacts(out_dir: Path) -> dict:
 def measure(trees: dict) -> dict:
     results = {label: _tree(src) for label, src in trees.items()}
     samples = {label: {row: [] for row in ROWS} for label in trees}
-    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as pkgs:
-        copies = {label: Path(pkgs) / f"{i:03d}" for i, label in enumerate(trees)}
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {label: Path(tmp) / f"{i:03d}" for i, label in enumerate(trees)}
         for label, src in trees.items():
             shutil.copytree(src / "scatchan", copies[label] / "scatchan",
                             ignore=shutil.ignore_patterns("__pycache__"))
         for r in range(REPEATS):
-            order = list(trees.items())
-            for label, src in order[::-1] if r % 2 else order:
-                out = Path(tmp) / label
-                scenario = str(src / SCENARIO)
+            order = list(copies.items())
+            pad = "x" * (LAYOUT_PAD * r)
+            for label, tree in order[::-1] if r % 2 else order:
+                out, scenario = str(tree / "out"), str(tree / SCENARIO)
                 for row, args in (
-                    ("run_s", ("-m", "scatchan.cli", "--threads", "1", "--out", str(out),
+                    ("run_s", ("-m", "scatchan.cli", "--threads", "1", "--out", out,
                                "run", scenario)),
                     ("verify_s", ("-m", "scatchan.cli", "verify", scenario)),
                     *CHILD_ROWS.items(),
                 ):
                     start = time.perf_counter()
-                    _child(src, *args)
+                    _child(tree, pad, *args)
                     samples[label][row].append(time.perf_counter() - start)
-                wrapped = _child(src, "-c", RSS_WRAPPER, sys.executable, "-m", "scatchan.cli",
-                                 "--threads", "1", "--out", str(out), "run", scenario)
+                wrapped = _child(tree, pad, "-c", RSS_WRAPPER, sys.executable, "-m",
+                                 "scatchan.cli", "--threads", "1", "--out", out, "run", scenario)
                 samples[label]["run_peak_rss_mb"].append(int(wrapped.stdout) / 1024)
-                swept = _child(src, "-c", CROSSCHECK_RSS, scenario)
+                swept = _child(tree, pad, "-c", CROSSCHECK_RSS, scenario)
                 samples[label]["crosscheck_full_peak_rss_mb"].append(int(swept.stdout) / 1024)
-                for tree, *args in ((copies[label], "pipeline_rows", "x" * (LAYOUT_PAD * r)),
-                                    (src, "layer_times")):
-                    done = _child(tree, "-c", ROWS_CHILD, str(Path(__file__).parent), *args)
+                for rows in ("pipeline_rows", "layer_times"):
+                    done = _child(tree, pad, "-c", ROWS_CHILD, str(Path(__file__).parent), rows)
                     for row, value in json.loads(done.stdout).items():
                         samples[label][row].append(value)
-        for label in trees:
-            results[label]["artifacts"] = _artifacts(Path(tmp) / label)
+        for label, tree in copies.items():
+            results[label]["artifacts"] = _artifacts(tree / "out")
     for label in trees:
         results[label].update({row: min(v) for row, v in samples[label].items()})
         results[label]["quartiles"] = {

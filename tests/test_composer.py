@@ -350,25 +350,22 @@ class TestVerifiedInputs:
     def test_unchecked_inputs_are_measured(self, monkeypatch):
         rng = np.random.default_rng(41)
         spec = PortSpec(2, 2, 2, 2, 1)
-        for build in (
-            lambda m: unchecked_smatrix(m, spec),
-            lambda m: ScatteringMatrix._trusted(m, spec),
-        ):
-            # Unitary unchecked inputs: the output gate passes on its own.
-            s1, s2 = build(random_unitary(rng, 4)), build(random_unitary(rng, 4))
-            measured = count_measurements(monkeypatch)
-            g = star(s2, s1)
-            assert measured == [g.matrix.shape]
-            monkeypatch.undo()
-            assert unitarity_defect(g.matrix) <= 1e-9
-            # A non-unitary unchecked input fails the output gate, and then
-            # both inputs are measured.
-            bad = build(0.5 * random_unitary(rng, 4))
-            measured = count_measurements(monkeypatch)
-            g = star(bad, s1)
-            assert measured == [(4, 4)] * 3
-            monkeypatch.undo()
-            assert unitarity_defect(g.matrix) > 1e-3
+        # Unitary unchecked inputs: the output gate passes on its own.
+        s1 = unchecked_smatrix(random_unitary(rng, 4), spec)
+        s2 = unchecked_smatrix(random_unitary(rng, 4), spec)
+        measured = count_measurements(monkeypatch)
+        g = star(s2, s1)
+        assert measured == [g.matrix.shape]
+        monkeypatch.undo()
+        assert unitarity_defect(g.matrix) <= 1e-9
+        # A non-unitary unchecked input fails the output gate, and then
+        # both inputs are measured.
+        bad = unchecked_smatrix(0.5 * random_unitary(rng, 4), spec)
+        measured = count_measurements(monkeypatch)
+        g = star(bad, s1)
+        assert measured == [(4, 4)] * 3
+        monkeypatch.undo()
+        assert unitarity_defect(g.matrix) > 1e-3
 
 
 class TestOutputGate:

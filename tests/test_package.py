@@ -1,5 +1,4 @@
 import inspect
-from dataclasses import fields
 
 import scatchan
 from scatchan import graph, physics
@@ -22,9 +21,11 @@ def test_stack_wrappers_are_gone():
 
 
 def test_retired_names_are_gone():
-    # The constructor always gates, the contraction plan is plain tuples and
-    # the CSV header is read off the table's fields.
+    # The constructor always gates and the contraction plan is plain tuples.
+    # The CSV header is read off the table's fields, so a renamed field must
+    # fail here as well as in the golden CSV hashes.
     assert "check" not in inspect.signature(scatchan.ScatteringMatrix).parameters
     assert not hasattr(graph, "_Step") and not hasattr(graph, "_Plan")
-    names = [f.name for f in fields(physics.SweepTable)]
-    assert physics.SweepTable.CSV_COLUMNS == ("E_over_V0", *names[1:])
+    assert physics.SweepTable.CSV_COLUMNS == (
+        "E_over_V0", "p_up_single", "p_dn_single", "p_up_double", "p_dn_double",
+        "q_low_single", "q_up_single", "q_low_double", "q_up_double", "superactivated")

@@ -18,7 +18,7 @@ from scatchan.smatrix import (
     unitarity_defect,
 )
 
-from conftest import random_smatrix, random_unitary, unchecked_smatrix
+from conftest import random_smatrix, random_unitary
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SPEC11 = PortSpec(1, 1, 1, 1, 1)
@@ -65,7 +65,6 @@ class TestConstruction:
         monkeypatch.setattr(smatrix, "unitarity_defect", lambda m: float("nan"))
         with pytest.raises(NonUnitaryError, match="nan"):
             ScatteringMatrix(SWAP, SPEC11)
-        unchecked_smatrix(SWAP, SPEC11)  # the unchecked path measures nothing
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
