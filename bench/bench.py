@@ -17,10 +17,9 @@ read 0 and 68, and ``run_peak_rss_mb`` 45.4 and 46.2 MB, for two copies of
 one commit at paths of different length.  So every child imports a copy of
 its tree's package at a path of the same length for every tree, reads the
 scenario from that copy and writes beside it, and in round r every child
-gets an unused environment variable of ``LAYOUT_PAD * r`` characters, so
+gets an unused ``-X pad=`` option of ``LAYOUT_PAD * r`` characters, so
 that the rounds sample as many start-up layouts and every tree meets the
 same ones.  The rows:
-
 
 * ``run_s``, ``verify_s``: ``python -m scatchan.cli --threads 1 run`` and
   ``... verify`` of the tree's ``fig2_eps0.json``, as child processes;
@@ -88,7 +87,7 @@ import numpy as np
 SCENARIO = Path("scatchan") / "scenarios" / "fig2_eps0.json"
 REPEATS = 7
 PIPELINE_CALLS = 50
-LAYOUT_PAD = 8  # characters of every child's unused environment variable, per round
+LAYOUT_PAD = 8  # characters of every child's unused -X option, per round
 CHILD_ROWS = {  # child-process wall-time rows and the arguments of their child
     "python_startup_s": ("-c", "pass"),
     "numpy_import_s": ("-c", "import numpy"),
@@ -178,8 +177,8 @@ def layer_times() -> dict:
 
 
 def _child(src: Path, pad: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src), BENCH_LAYOUT_PAD=pad)
-    return subprocess.run([sys.executable, *args], env=env, check=True,
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-X", pad, *args], env=env, check=True,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -218,7 +217,7 @@ def measure(trees: dict) -> dict:
                             ignore=shutil.ignore_patterns("__pycache__"))
         for r in range(REPEATS):
             order = list(copies.items())
-            pad = "x" * (LAYOUT_PAD * r)
+            pad = "pad=" + "x" * (LAYOUT_PAD * r)
             for label, tree in order[::-1] if r % 2 else order:
                 out, scenario = str(tree / "out"), str(tree / SCENARIO)
                 for row, args in (
@@ -230,7 +229,7 @@ def measure(trees: dict) -> dict:
                     start = time.perf_counter()
                     _child(tree, pad, *args)
                     samples[label][row].append(time.perf_counter() - start)
-                wrapped = _child(tree, pad, "-c", RSS_WRAPPER, sys.executable, "-m",
+                wrapped = _child(tree, pad, "-c", RSS_WRAPPER, sys.executable, "-X", pad, "-m",
                                  "scatchan.cli", "--threads", "1", "--out", out, "run", scenario)
                 samples[label]["run_peak_rss_mb"].append(int(wrapped.stdout) / 1024)
                 swept = _child(tree, pad, "-c", CROSSCHECK_RSS, scenario)
