@@ -26,12 +26,12 @@ exact zero pivot in one), and the kernel check runs only on the rows whose
 loop is singular.  A gate on a stack measures its worst row, so one bad
 row fails the whole stack.
 
-:func:`star` gates every result on unitarity and measures its inputs only
-when that gate fails, so a successful call makes one measurement.  Results
-are C-ordered stacks, as are the operands graph contraction passes in (or
-broadcasts of one C-ordered matrix), and the assembly adds its round trips
-in one contiguous pass; the barrier scatterers of :mod:`scatchan.physics`
-are gated on their amplitudes before they are stacked.
+:func:`star` gates every result on unitarity, one measurement a call, and
+raises when the gate fails.  Results are C-ordered stacks, as are the
+operands graph contraction passes in (or broadcasts of one C-ordered
+matrix), and the assembly adds its round trips in one contiguous pass; the
+barrier scatterers of :mod:`scatchan.physics` are gated on their amplitudes
+before they are stacked.
 
 Memory: a merge of two stacks writes its interface product, its round-trip
 term and its gate's temporaries to per-thread
@@ -55,7 +55,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_REL_TOL, max_abs, operator_norm, pseudo_inverse, workspace,
 )
-from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix, unitarity_defect
+from .smatrix import PortSpec, ScatteringMatrix, unitarity_defect
 
 KERNEL_SV_TOL = 1e-10
 DECOUPLING_TOL = 1e-8
@@ -298,29 +298,24 @@ def star(
     matmul, one LU inverse of the loop and two assembly matmuls; a loop
     the LU inverse cannot certify regular takes the SVD pseudo-inverse, and
     whenever it is (near-)singular the Kostrykin-Schrader decoupling
-    conditions are verified rather than assumed.  The output is gated on unitarity first; only when that gate
-    fails (a NaN fails it too) are the inputs measured, and the call raises
-    unless one of them is itself non-unitary.  Stacks are composed row by
-    row in one pass; every measurement takes the worst row.
+    conditions are verified rather than assumed.  A result that fails the
+    unitarity gate (a NaN fails it) raises.  Stacks are composed row by row
+    in one pass; every gate takes the worst row.
     """
     s2 = _validate_pair(s2, s1, wiring)
 
     prod, hop = _interface_product(s2, s1)
     linv, _, residual = _loop_inverse(s2, s1, hop)
     if not residual < DECOUPLING_TOL:  # a NaN fails too
+        sigma = np.linalg.norm(np.eye(hop.shape[-1]) - hop, -2, axis=(-2, -1)).min()
         raise InternalConsistencyError(
-            "loop matrix is singular but kernel modes couple to the "
-            f"output ports (residual {residual:.3e}); "
-            "inputs are not unitary"
-        )
+            f"loop 1 - S2^{{L,L}} S1^{{R,R}} is (near-)singular, smallest singular "
+            f"value {sigma:.3e}, but kernel modes couple to the output ports "
+            f"(residual {residual:.3e})")
     result = _assemble(s2, s1, linv, prod)
     defect = unitarity_defect(result.matrix)
-    if not defect <= RESULT_UNITARITY_TOL and not any(
-        unitarity_defect(s.matrix) > UNITARITY_TOL for s in (s1, s2)
-    ):
-        raise InternalConsistencyError(
-            f"star of unitary inputs has unitarity defect {defect:.3e}"
-        )
+    if not defect <= RESULT_UNITARITY_TOL:  # a NaN fails too
+        raise InternalConsistencyError(f"star of unitary inputs has unitarity defect {defect:.3e}")
     return result
 
 

@@ -231,5 +231,5 @@ def contract(g: QuantumGraph, order=None) -> ScatteringMatrix:
     live = dict(g.vertices)
     for left, right, keep, a_index, a_spec, b_index, b_spec in steps:
         a, b = live.pop(left), live.pop(right)
-        live[keep] = star(b.reindexed(b_index, b_spec), a.reindexed(a_index, a_spec))
-    return live[root].reindexed(final_index, final_spec)
+        live[keep] = star(b._reindexed(b_index, b_spec), a._reindexed(a_index, a_spec))
+    return live[root]._reindexed(final_index, final_spec)

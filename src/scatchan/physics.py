@@ -24,6 +24,7 @@ scalar, a stack for a 1-D grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -133,7 +134,10 @@ def translated_barrier(s1: ScatteringMatrix, separation: float, energies) -> Sca
     multiplies the reflection blocks by exp(+-i phi) with phi = 2 k w, at
     each energy of ``s1``'s stack.  The result is D S1 D with the unitary
     D = diag(exp(i phi/2), exp(-i phi/2)), so it stays unitary and only the
-    phases are checked."""
+    phases are checked; ``energies`` must have the shape of that stack."""
+    if np.shape(energies) != s1.matrix.shape[:-2]:
+        raise InvalidInputError(f"energies of shape {np.shape(energies)} do not match "
+                                f"the barrier stack of shape {s1.matrix.shape[:-2]}")
     phi = 2.0 * np.sqrt(np.asarray(energies, dtype=float)) * separation
     if not np.all(np.isfinite(phi)):
         raise InvalidInputError("translation phase contains NaN or Inf entries")
@@ -314,8 +318,12 @@ def energy_sweep(
     the closed-form values the table holds; a gap above PIPELINE_MATCH_TOL
     (or a NaN) raises InternalConsistencyError, as does a closed form that
     fails its own resonance-floor or unit-amplitude check.
-    ``cross_check_every=0`` skips the pipeline.
+    ``cross_check_every=0`` skips the pipeline; a negative or non-integer
+    stride raises InvalidInputError.
     """
+    if not isinstance(cross_check_every, numbers.Integral) or cross_check_every < 0:
+        raise InvalidInputError(
+            f"cross_check_every must be a whole number >= 0, got {cross_check_every!r}")
     energies = np.asarray(grid, dtype=float)
     if energies.ndim != 1 or energies.size < 1:
         raise InvalidInputError("energy grid must be a nonempty 1-D sequence")

@@ -90,8 +90,11 @@ class ScatteringMatrix:
     """A scattering matrix together with its port partition.
 
     Immutable after construction; the underlying array is write-locked.
-    The public constructor always gates: it rejects a matrix (for a stack:
-    any row) whose unitarity defect exceeds ``UNITARITY_TOL``.
+    Every instance the public API builds is unitary: the constructor and
+    :func:`t_to_s` reject a matrix (a stack: any row) whose unitarity defect
+    exceeds ``UNITARITY_TOL``, and the other routes permute, pad or
+    star-compose unitary matrices (the series oracle
+    :func:`~scatchan.composer.star_via_series` returns its truncated sum).
     """
 
     def __init__(self, matrix, spec: PortSpec):
@@ -130,14 +133,14 @@ class ScatteringMatrix:
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, spec: PortSpec) -> "ScatteringMatrix":
-        """Wrap an internally produced complex array without re-validation."""
+        """Wrap a complex array that its caller guarantees unitary, unchecked."""
         obj = object.__new__(cls)
         matrix.flags.writeable = False
         obj.matrix = matrix
         obj.spec = spec
         return obj
 
-    def reindexed(self, index, spec: PortSpec) -> "ScatteringMatrix":
+    def _reindexed(self, index, spec: PortSpec) -> "ScatteringMatrix":
         """Rows/columns picked by a precomputed slot-permutation index
         (see :func:`slot_permutation_index`), under ``spec``: a C-ordered
         array gathered in one ``np.take``, or for ``None`` the same array
@@ -154,7 +157,7 @@ class ScatteringMatrix:
         if sorted(out_slots) != list(range(self.spec.total_out)):
             raise InvalidInputError("out_slots is not a permutation")
         index = slot_permutation_index(in_slots, out_slots, self.spec.dim)
-        return self.reindexed(index, self.spec)
+        return self._reindexed(index, self.spec)
 
     def __repr__(self):
         return f"ScatteringMatrix(spec={self.spec})"
@@ -219,4 +222,4 @@ def t_to_s(t, dim: int) -> ScatteringMatrix:
     s = np.block([[-inv_ab @ t_aa, inv_ab],
                   [t_ba - t_bb @ inv_ab @ t_aa, t_bb @ inv_ab]])
     k = h // dim
-    return ScatteringMatrix._trusted(as_matrix(s), PortSpec(k, k, k, k, dim))
+    return ScatteringMatrix(s, PortSpec(k, k, k, k, dim))

@@ -335,8 +335,8 @@ def count_measurements(monkeypatch):
 
 
 class TestVerifiedInputs:
-    """Checked at construction or not, a unitary input is not measured by a
-    star whose output passes the gate; inputs are measured only when it fails."""
+    """Checked at construction or not, no input is measured: a star makes
+    one measurement, of its output, whether the gate passes or fails."""
 
     def test_verified_inputs_only_gate_the_output(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -347,7 +347,7 @@ class TestVerifiedInputs:
         monkeypatch.undo()
         assert unitarity_defect(g.matrix) <= 1e-9
 
-    def test_unchecked_inputs_are_measured(self, monkeypatch):
+    def test_unchecked_inputs_are_not_measured(self, monkeypatch):
         rng = np.random.default_rng(41)
         spec = PortSpec(2, 2, 2, 2, 1)
         # Unitary unchecked inputs: the output gate passes on its own.
@@ -358,32 +358,29 @@ class TestVerifiedInputs:
         assert measured == [g.matrix.shape]
         monkeypatch.undo()
         assert unitarity_defect(g.matrix) <= 1e-9
-        # A non-unitary unchecked input fails the output gate, and then
-        # both inputs are measured.
+        # A non-unitary unchecked input fails the output gate, which
+        # raises after its one measurement.
         bad = unchecked_smatrix(0.5 * random_unitary(rng, 4), spec)
         measured = count_measurements(monkeypatch)
-        g = star(bad, s1)
-        assert measured == [(4, 4)] * 3
-        monkeypatch.undo()
-        assert unitarity_defect(g.matrix) > 1e-3
+        with pytest.raises(InternalConsistencyError, match="unitarity defect"):
+            star(bad, s1)
+        assert measured == [(4, 4)]
 
 
 class TestOutputGate:
-    """A non-unitary input lets the call return once the failed output gate
-    has measured it."""
+    """A non-unitary input fails the output gate, and the call raises
+    without measuring any input."""
 
-    def test_nonunitary_input_is_measured_and_the_call_returns(self, monkeypatch):
+    def test_nonunitary_input_fails_the_output_gate(self, monkeypatch):
         rng = np.random.default_rng(42)
         spec = PortSpec(1, 1, 1, 1, 2)
         bad = unchecked_smatrix(0.5 * random_unitary(rng, 4), spec)
         good = random_smatrix(rng, 1, 2)
         measured = count_measurements(monkeypatch)
-        g = star(bad, good)
-        # The output gate fails, then both inputs are measured.
-        assert measured == [(4, 4)] * 3
-        assert unitarity_defect(g.matrix) > 1e-3
-        h = star(random_smatrix(rng, 1, 2), g)
-        assert unitarity_defect(h.matrix) > 1e-3
+        with pytest.raises(InternalConsistencyError, match="unitarity defect"):
+            star(bad, good)
+        # The output gate's one measurement, then the raise.
+        assert measured == [(4, 4)]
 
 
 def stacked(rows, build=ScatteringMatrix):

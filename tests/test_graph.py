@@ -4,7 +4,7 @@ import pytest
 from scatchan import graph
 from scatchan.channel import transmission_operator
 from scatchan.composer import star, star_via_series
-from scatchan.errors import InvalidInputError
+from scatchan.errors import InternalConsistencyError, InvalidInputError
 from scatchan.graph import QuantumGraph, contract, validate
 from scatchan.numerics import max_abs
 from scatchan.smatrix import PortSpec, ScatteringMatrix, unitarity_defect
@@ -265,6 +265,7 @@ class TestCompiledPlan:
         s1, s2 = random_smatrix(rng, 1, 1), random_smatrix(rng, 1, 1)
         assert unitarity_defect(contract(two_vertex_loop(s1, s2)).matrix) <= 1e-9
         # Same topology, but a corrupted local matrix that was never checked.
+        # The plan skips no gate: the merge's output gate raises.
         bad = unchecked_smatrix(0.5 * s2.matrix, s2.spec)
-        result = contract(two_vertex_loop(s1, bad))
-        assert unitarity_defect(result.matrix) > 1e-3
+        with pytest.raises(InternalConsistencyError, match="unitarity defect"):
+            contract(two_vertex_loop(s1, bad))

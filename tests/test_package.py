@@ -21,10 +21,12 @@ def test_stack_wrappers_are_gone():
 
 
 def test_retired_names_are_gone():
-    # The constructor always gates and the contraction plan is plain tuples.
+    # The constructor always gates, slots move only through the validated
+    # ``permuted``, and the contraction plan is plain tuples.
     # The CSV header is read off the table's fields, so a renamed field must
     # fail here as well as in the golden CSV hashes.
     assert "check" not in inspect.signature(scatchan.ScatteringMatrix).parameters
+    assert not hasattr(scatchan.ScatteringMatrix, "reindexed")
     assert not hasattr(graph, "_Step") and not hasattr(graph, "_Plan")
     assert physics.SweepTable.CSV_COLUMNS == (
         "E_over_V0", "p_up_single", "p_dn_single", "p_up_double", "p_dn_double",

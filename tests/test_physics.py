@@ -7,6 +7,7 @@ import pytest
 
 from scatchan import cli, graph, physics
 from scatchan.capacity import capacity_bounds, detect_superactivation
+from scatchan.composer import KERNEL_SV_TOL
 from scatchan.errors import InternalConsistencyError, InvalidInputError, NonUnitaryError
 from scatchan.numerics import max_abs
 from scatchan.physics import (
@@ -197,6 +198,13 @@ class TestTranslatedBarrier:
             )
             assert unitarity_defect(s2.matrix) < 1e-10
 
+    @pytest.mark.parametrize("energies", [0.5, [0.5, 0.6], np.full((5, 1), 0.5)],
+                             ids=["scalar", "shorter", "2-D"])
+    def test_energies_must_match_the_stack(self, energies):
+        s1 = barrier_smatrix(BarrierParams(0.5, half_width=0.2), np.linspace(0.1, 0.9, 5))
+        with pytest.raises(InvalidInputError, match=r"barrier stack of shape \(5,\)"):
+            translated_barrier(s1, 3.0, energies)
+
 
 class TestLossScatterer:
     def test_eta_one_is_full_deflection(self):
@@ -288,6 +296,20 @@ class TestPipelineAmplitudes:
         base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
         with pytest.raises(InvalidInputError, match="1-D"):
             pipeline_amplitudes(base, np.linspace(0.1, 0.9, 6).reshape(2, 3))
+
+    def test_coupled_near_singular_loop_is_named(self):
+        # A lossless a = 8 line at a resonance peak where one barrier's |t|^2
+        # is about 1e-13: the double line's loop falls below KERNEL_SV_TOL
+        # and its near-kernel couples out.  Both barriers pass their own
+        # gate, so the message names the loop, not the inputs.
+        base = BarrierParams(0.09, 0.0, 8.0, 44.7213595499958, 0.0)
+        with pytest.raises(InternalConsistencyError, match="kernel modes couple") as err:
+            pipeline_amplitudes(base, [0.09391547278333241])
+        message = str(err.value)
+        assert message.startswith("loop 1 - S2^{L,L} S1^{R,R} is (near-)singular")
+        assert "residual" in message and "inputs are not unitary" not in message
+        sigma = float(re.search(r"smallest singular value (\S+),", message).group(1))
+        assert 0.0 <= sigma < KERNEL_SV_TOL
 
     def test_builds_the_barrier_stack_once(self, monkeypatch):
         built = []
@@ -444,6 +466,20 @@ class TestEnergySweep:
             energy_sweep(base, [-0.1, 0.5])
         with pytest.raises(InvalidInputError):
             energy_sweep(base, [])
+
+    @pytest.mark.parametrize("every", [-1, 2.5])
+    def test_invalid_cross_check_stride(self, every):
+        base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        with pytest.raises(InvalidInputError, match="cross_check_every must be a whole number"):
+            energy_sweep(base, self.GRID, cross_check_every=every)
+
+    def test_zero_stride_skips_the_pipeline(self, monkeypatch):
+        def no_pipeline(*args):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(physics, "pipeline_gap", no_pipeline)
+        base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+        assert energy_sweep(base, self.GRID, cross_check_every=0).energy.size == 400
 
     def test_csv_format(self):
         # fig2_eps0 geometry on a grid that holds both flag values

@@ -56,6 +56,17 @@ def test_submodules_resolve_as_attributes():
     assert done.stdout.strip() == "True"
 
 
+def test_cli_import_loads_only_the_standard_library_and_numpy():
+    # Every process that starts the CLI pays for what this import loads.
+    code = ("import sys; before = set(sys.modules); import scatchan.cli; "
+            "new = set(sys.modules) - before; "
+            "print(sorted({m.split('.')[0] for m in new} - sys.stdlib_module_names "
+            "- {'numpy', 'scatchan'})); print('scatchan.csvtext' in new)")
+    done = child(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "False"]
+
+
 def test_cli_import_sets_one_blas_thread():
     code = "import os, scatchan.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     done = child(["-c", code], unset=("OPENBLAS_NUM_THREADS",))

@@ -114,7 +114,7 @@ class TestBlocks:
         rng = np.random.default_rng(4)
         s = random_smatrix(rng, 2, 2)
         index = slot_permutation_index([3, 1, 0, 2], [2, 0, 3, 1], 2)
-        got = s.reindexed(index, s.spec)
+        got = s._reindexed(index, s.spec)
         assert max_abs(got.matrix - s.permuted([3, 1, 0, 2], [2, 0, 3, 1]).matrix) == 0.0
         assert max_abs(transmission_operator(got, 1, 1) - transmission_operator(s, 4, 3)) == 0.0
 
@@ -142,7 +142,7 @@ class TestReindexed:
                 np.broadcast_to(one.matrix, (3, 5) + one.matrix.shape), one.spec),
         }[case]
         index = slot_permutation_index(self.IN_SLOTS, self.OUT_SLOTS, 2)
-        got = s.reindexed(index, s.spec).matrix
+        got = s._reindexed(index, s.spec).matrix
         assert got.flags.c_contiguous
         assert np.array_equal(got, self.ix_form(s.matrix))
 
@@ -151,7 +151,7 @@ class TestReindexed:
         s = ScatteringMatrix._trusted(np.broadcast_to(one.matrix, (4,) + one.matrix.shape), one.spec)
         assert slot_permutation_index(range(4), range(4), 1) is None
         spec = PortSpec(1, 3, 3, 1, 1)
-        got = s.reindexed(None, spec)
+        got = s._reindexed(None, spec)
         assert got.spec == spec and got.matrix is s.matrix
 
 
@@ -231,6 +231,12 @@ class TestConversion:
         t = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ConversionUnavailableError):
             t_to_s(t, 1)
+
+    def test_nonunitary_result_is_rejected(self):
+        # An invertible T^{A,B} that no unitary S has: S would be
+        # [[0, 1/2], [2, 0]], with unitarity defect 3.
+        with pytest.raises(NonUnitaryError, match="3.000e"):
+            t_to_s(2 * np.eye(2), 1)
 
     def test_portless_scatterer_unconvertible(self):
         s = ScatteringMatrix(np.zeros((0, 0)), PortSpec(0, 0, 0, 0, 1))
