@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -163,7 +164,7 @@ def layer_times() -> dict:
     calls = {
         "energy_sweep_s": lambda: physics.energy_sweep(base, grid),
         "crosscheck_full_s": lambda: physics.energy_sweep(base, grid, cross_check_every=1),
-        "to_csv_s": table.to_csv,
+        "to_csv_s": lambda: table.to_csv(io.BytesIO()),
         "svg_line_plot_s": lambda: cli.svg_line_plot(
             table.energy, curves, "Transmission probabilities", "E / V0",
             "transmission probability", shade_mask=table.superactivated),

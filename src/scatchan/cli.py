@@ -6,9 +6,9 @@ Commands:
                           "name: residual" line per named check
 
 The scenario format is read and written in one section of this module:
-``whole_number``, the readers ``read_scattering``, ``read_wiring`` and
-``read_graph``, and the writer ``scattering_json``; the library modules
-never see JSON.
+the number parsers ``whole_number`` and ``real_number``, the readers
+``read_scattering``, ``read_wiring`` and ``read_graph``, and the writer
+``scattering_json``; the library modules never see JSON.
 
 Exit codes: 0 success, 2 malformed scenario, unreadable scenario file or
 unwritable output, 3 numerical consistency failure.  ``verify`` has one
@@ -185,6 +185,13 @@ def whole_number(value, name: str, least: float = 0, most: float = math.inf) -> 
     return int(value) if isinstance(value, int) else int(n)
 
 
+def real_number(value, name: str) -> float:
+    """A real-number field of a JSON document: ``true`` is rejected, not read as 1."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @_decoding("malformed scattering matrix")
 def read_scattering(obj) -> ScatteringMatrix:
     """``{"spec": {<four slot counts>, "dim" (default 1)}, "matrix": {"rows": n,
@@ -277,12 +284,12 @@ def _sweep_inputs(sc: dict):
     params = {key: _field(sc, key) for key in ("half_width", "separation")}
     with _decoding("non-numeric scenario field"):
         grid = sc.get("grid", {})
-        start = float(grid.get("start", 0.005))
-        stop = float(grid.get("stop", 2.0))
+        start = real_number(grid.get("start", 0.005), "grid start")
+        stop = real_number(grid.get("stop", 2.0), "grid stop")
         points = whole_number(grid.get("points", 20000), "grid points", 2, MAX_GRID_POINTS)
         every = whole_number(sc.get("cross_check_every", 100), "cross_check_every")
-        params = {key: float(value) for key, value in params.items()}
-        params.update((key, float(sc.get(key, 0.0))) for key in ("epsilon", "eta"))
+        params.update((key, sc.get(key, 0.0)) for key in ("epsilon", "eta"))
+        params = {key: real_number(value, key) for key, value in params.items()}
     if not (np.isfinite(stop) and 0 < start < stop):
         raise InvalidInputError(f"bad grid range ({start}, {stop})")
     # energy_ratio is a placeholder; the sweep substitutes per-point values
@@ -290,13 +297,17 @@ def _sweep_inputs(sc: dict):
     return base, np.linspace(start, stop, points), every
 
 
-def _write(out_dir: str, filename: str, text: str) -> str:
-    """Write one artifact (LF line ends) into ``out_dir``; returns its path."""
+def _write(out_dir: str, filename: str, content) -> str:
+    """Write one artifact into ``out_dir``: ``content`` is its text, as UTF-8,
+    or a function that writes it to a binary file; returns its path."""
     path = os.path.join(out_dir, filename)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            if isinstance(content, str):
+                fh.write(content.encode("utf-8"))
+            else:
+                content(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     return path
@@ -309,7 +320,7 @@ def _json_text(obj) -> str:
 def run_barrier_sweep(sc: dict, out_dir: str) -> list[str]:
     table = physics.energy_sweep(*_sweep_inputs(sc))
     name = sc["name"]
-    emitted = [_write(out_dir, f"{name}.csv", table.to_csv())]
+    emitted = [_write(out_dir, f"{name}.csv", table.to_csv)]
     plots = (
         ("transmission", "Transmission probabilities", "transmission probability", [
             ("p up, double", table.p_up_double),
@@ -400,7 +411,7 @@ def verify_star_demo(sc: dict, out) -> list[tuple[str, float]]:
     prints the transmission block."""
     s2, s1, wiring = _star_inputs(sc)
     with _decoding("non-numeric expected_transmission"):
-        expected = (float(sc["expected_transmission"])
+        expected = (real_number(sc["expected_transmission"], "expected_transmission")
                     if "expected_transmission" in sc else None)
     direct = composer.star(s2, s1, wiring)
     trans = direct.block("R", "L")

@@ -26,12 +26,12 @@ exact zero pivot in one), and the kernel check runs only on the rows whose
 loop is singular.  A gate on a stack measures its worst row, so one bad
 row fails the whole stack.
 
-:func:`star` gates every result on unitarity, one measurement a call, and
-raises when the gate fails.  Results are C-ordered stacks, as are the
-operands graph contraction passes in (or broadcasts of one C-ordered
-matrix), and the assembly adds its round trips in one contiguous pass; the
-barrier scatterers of :mod:`scatchan.physics` are gated on their amplitudes
-before they are stacked.
+:func:`star` and :func:`star_via_series` gate every result on unitarity,
+one measurement a call, and raise when the gate fails.  Results are
+C-ordered stacks, as are the operands graph contraction passes in (or
+broadcasts of one C-ordered matrix), and the assembly adds its round trips
+in one contiguous pass; the barrier scatterers of :mod:`scatchan.physics`
+are gated on their amplitudes before they are stacked.
 
 Memory: a merge of two stacks writes its interface product, its round-trip
 term and its gate's temporaries to per-thread
@@ -161,6 +161,15 @@ def _assemble(s2: ScatteringMatrix, s1: ScatteringMatrix, linv: np.ndarray,
     matrix[..., lo1:, li1:] = m2[..., lo2:, li2:]
     matrix += np.matmul(feed, linv @ drive, out=workspace("round_trip", matrix.shape))
     return ScatteringMatrix._trusted(matrix, spec)
+
+
+def _gated(result: ScatteringMatrix) -> ScatteringMatrix:
+    """``result`` if it passes the one output gate of :func:`star` and
+    :func:`star_via_series`, on unitarity (a NaN fails it); raises otherwise."""
+    defect = unitarity_defect(result.matrix)
+    if not defect <= RESULT_UNITARITY_TOL:  # a NaN fails too
+        raise InternalConsistencyError(f"star of unitary inputs has unitarity defect {defect:.3e}")
+    return result
 
 
 def _padded_slots(spec: PortSpec, k: int):
@@ -312,11 +321,7 @@ def star(
             f"loop 1 - S2^{{L,L}} S1^{{R,R}} is (near-)singular, smallest singular "
             f"value {sigma:.3e}, but kernel modes couple to the output ports "
             f"(residual {residual:.3e})")
-    result = _assemble(s2, s1, linv, prod)
-    defect = unitarity_defect(result.matrix)
-    if not defect <= RESULT_UNITARITY_TOL:  # a NaN fails too
-        raise InternalConsistencyError(f"star of unitary inputs has unitarity defect {defect:.3e}")
-    return result
+    return _gated(_assemble(s2, s1, linv, prod))
 
 
 def star_via_padding(
@@ -350,7 +355,8 @@ def star_via_series(
     by squaring, (1 - H)^-1 = prod_j (1 + H^(2^j)), up to the first factor
     with max|H^(2^j)| < ``tol``, which leaves out H^(2^(j+1)) (1 - H)^-1; a
     loop that does not get there within SERIES_SQUARINGS squarings
-    (2^SERIES_SQUARINGS terms) raises rather than return a partial sum.
+    (2^SERIES_SQUARINGS terms) raises rather than return a partial sum, and
+    so does a sum that fails the unitarity gate of :func:`star`.
     """
     s2 = _validate_pair(s2, s1, wiring)
     prod, hop = _interface_product(s2, s1)
@@ -363,7 +369,7 @@ def star_via_series(
         power = power @ power
         linv = linv + linv @ power
         if max_abs(power) < tol:
-            return _assemble(s2, s1, linv, prod)
+            return _gated(_assemble(s2, s1, linv, prod))
     raise SeriesDivergentError(
         f"geometric series not below {tol:.0e} after {SERIES_SQUARINGS} squarings"
     )

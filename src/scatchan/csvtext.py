@@ -88,23 +88,16 @@ def format_e12(values):
     return out, keep
 
 
-def csv_text(columns, values, flags) -> str:
-    """The header of ``columns``, then one line per row of ``values`` (its
-    cells as ``%.12e``) ending in that row's flag as 0 or 1."""
-    values = np.asarray(values, dtype=float)
-    flags = np.where(flags, ord("1"), ord("0"))
-    header = (",".join(columns) + "\n").encode("ascii")
-    buf = np.empty(len(header) + values.size * SLOT, dtype=np.uint8)
-    buf[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-    end = len(header)
-    for start in range(0, len(values), CHUNK):
-        out, keep = format_e12(values[start:start + CHUNK])
+def csv_text(names, columns, flags):
+    """The CSV of a table as ASCII byte blocks: the header line of ``names``,
+    then one block per CHUNK rows, each row its cells of ``columns`` as
+    ``%.12e`` and its flag as 0 or 1."""
+    yield (",".join(names) + "\n").encode("ascii")
+    for start in range(0, len(flags), CHUNK):
+        out, keep = format_e12(np.column_stack([c[start:start + CHUNK] for c in columns]))
         # The spare word of each slot: the comma; after the last, flag and LF.
         out[..., 20] = ord(",")
-        out[:, -1, 21] = flags[start:start + CHUNK]
+        out[:, -1, 21] = np.where(flags[start:start + CHUNK], ord("1"), ord("0"))
         out[:, -1, 22] = ord("\n")
         keep[..., 20] = keep[:, -1, 21:23] = True
-        row_bytes = out[keep]
-        buf[end:end + row_bytes.size] = row_bytes
-        end += row_bytes.size
-    return str(buf[:end].data, "ascii")
+        yield out[keep].tobytes()

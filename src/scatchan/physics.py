@@ -247,14 +247,14 @@ class SweepTable:
     q_up_double: np.ndarray
     superactivated: np.ndarray
 
-    def to_csv(self) -> str:
-        """One header line, then per energy the nine float columns as
-        ``%.12e`` and the flag as 0 or 1, byte-identical to formatting each
-        cell with ``%`` (see :mod:`scatchan.csvtext`)."""
+    def to_csv(self, fh) -> None:
+        """Write the CSV to the binary file ``fh`` a block at a time: a header,
+        then per energy the nine float columns as ``%.12e`` and the flag as 0
+        or 1, byte-identical to ``%`` on every cell (:mod:`scatchan.csvtext`)."""
         from .csvtext import csv_text  # loaded only by processes that write a CSV
 
-        values = np.column_stack([getattr(self, f.name) for f in fields(self)[:-1]])
-        return csv_text(self.CSV_COLUMNS, values, self.superactivated)
+        columns = [getattr(self, f.name) for f in fields(self)[:-1]]
+        fh.writelines(csv_text(self.CSV_COLUMNS, columns, self.superactivated))
 
 
 # The CSV header: the field names, with the energy column named E_over_V0.

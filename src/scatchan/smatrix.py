@@ -93,8 +93,7 @@ class ScatteringMatrix:
     Every instance the public API builds is unitary: the constructor and
     :func:`t_to_s` reject a matrix (a stack: any row) whose unitarity defect
     exceeds ``UNITARITY_TOL``, and the other routes permute, pad or
-    star-compose unitary matrices (the series oracle
-    :func:`~scatchan.composer.star_via_series` returns its truncated sum).
+    star-compose unitary matrices.
     """
 
     def __init__(self, matrix, spec: PortSpec):

@@ -499,6 +499,44 @@ class TestScenarioBoundary:
         # Each parser of counts, ids and slots rejects these; none truncates.
         self.assert_edit_exits_2(tmp_path, capsys, kind, keys, value)
 
+    @pytest.mark.parametrize("kind, keys, name", [
+        ("sweep", ("half_width",), "half_width"),
+        ("sweep", ("separation",), "separation"),
+        ("sweep", ("epsilon",), "epsilon"),
+        ("sweep", ("eta",), "eta"),
+        ("sweep", ("grid", "start"), "grid start"),
+        ("sweep", ("grid", "stop"), "grid stop"),
+        ("star", ("expected_transmission",), "expected_transmission"),
+    ], ids=["half-width", "separation", "epsilon", "eta", "grid-start", "grid-stop",
+            "expected-transmission"])
+    def test_boolean_float_field_is_named(self, tmp_path, capsys, kind, keys, name):
+        # ``true`` is not read as 1.0; run never reads expected_transmission.
+        if kind == "star":
+            sc = json.loads((SCENARIOS / "star_demo.json").read_text())
+        else:
+            sc = json.loads((SCENARIOS / "fig2_eps0.json").read_text())
+            sc["grid"]["points"] = 300
+        target = sc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = True
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(sc))
+        out = tmp_path / "out"
+        command = "verify" if kind == "star" else "run"
+        assert cli.main(["--out", str(out), command, str(path)]) == 2
+        assert f"{name} must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_numbers_stay_accepted_as_floats(self, tmp_path):
+        csv = []
+        for zero in (0, 0.0):
+            out = tmp_path / type(zero).__name__
+            assert cli.main(["--out", str(out), "run",
+                             small_sweep(tmp_path, separation=zero, epsilon=zero)]) == 0
+            csv.append((out / "fig2_eps0.csv").read_bytes())
+        assert csv[0] == csv[1]
+
     @staticmethod
     def assert_edit_exits_2(tmp_path, capsys, kind, keys, value):
         """Run a bundled scenario with one field set to ``value``."""

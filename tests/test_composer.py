@@ -157,6 +157,16 @@ class TestSeries:
         with pytest.raises(SeriesDivergentError):
             star_via_series(refl, refl)
 
+    def test_truncated_sum_fails_the_output_gate(self):
+        # Near ||H|| = 1 a coarse tol drops a term large enough to break
+        # unitarity; the sum goes through star's gate and raises.
+        rng = np.random.default_rng(0)
+        s2 = bounded_loop_smatrix(rng, 2, 1, 0.99)
+        s1 = bounded_loop_smatrix(rng, 2, 1, 0.99)
+        assert unitarity_defect(star_via_series(s2, s1).matrix) < 1e-14
+        with pytest.raises(InternalConsistencyError, match="unitarity defect 1.18"):
+            star_via_series(s2, s1, tol=0.5)
+
     def test_agrees_with_star_on_contractive_domain(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

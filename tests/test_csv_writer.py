@@ -5,15 +5,21 @@ The writer formats ``%.12e`` with numpy byte arithmetic and hands a cell to
 so the cases that matter are the ones next to those boundaries: exact and
 near 13-digit ties, powers of ten, the carry of 9.9999999999995, zeros,
 subnormals and the ends of the double range.  Hypothesis runs are
-derandomized and keep no example database.
+derandomized and keep no example database.  The writer streams: it writes
+the header and then one block per ``csvtext.CHUNK`` rows to a binary file,
+so its memory does not grow with the table.
 """
 
+import io
+import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from scatchan import csvtext
 from scatchan.physics import SweepTable
 
 PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, database=None,
@@ -37,9 +43,26 @@ def table_of(values):
     return SweepTable(*columns, np.arange(values.size) % 2 == 1)
 
 
+class SizeSink(io.RawIOBase):
+    """A binary file that keeps only the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return len(data)
+
+
 def assert_matches_percent(values):
     table = table_of(values)
-    got, want = table.to_csv(), reference_csv(table)
+    fh = io.BytesIO()
+    table.to_csv(fh)
+    got, want = fh.getvalue().decode("ascii"), reference_csv(table)
     # The first differing lines, not a diff of the whole text.
     bad = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
     assert not bad, bad[:3]
@@ -118,3 +141,42 @@ def test_bundled_grid_rows():
     values = np.concatenate((rng.random(3000), np.zeros(500), np.linspace(0.005, 2.0, 1500),
                              rng.random(1000) ** 8))
     assert_matches_percent(values)
+
+
+def test_header_then_one_write_per_block():
+    rows = 2 * csvtext.CHUNK + 5
+    table = table_of(np.linspace(0.005, 2.0, rows))
+    sink = SizeSink()
+    table.to_csv(sink)
+    assert len(sink.sizes) == 1 + math.ceil(rows / csvtext.CHUNK) == 4
+    assert sink.sizes[0] == len(",".join(SweepTable.CSV_COLUMNS) + "\n")
+    assert sum(sink.sizes) == len(reference_csv(table))
+
+
+def test_blocks_join_into_percent_text(monkeypatch):
+    # Seven rows a block: four blocks, the last a partial one.
+    monkeypatch.setattr(csvtext, "CHUNK", 7)
+    rng = np.random.default_rng(5)
+    assert_matches_percent(np.concatenate((rng.random(12), [0.0, -0.0, np.nan, 1e23],
+                                           -rng.random(9))))
+
+
+def to_csv_peak(rows):
+    """The tracemalloc peak of writing a ``rows``-row table to a sink that
+    keeps no bytes; the table itself is built before tracing starts."""
+    table = table_of(np.random.default_rng(rows).random(rows))
+    sink = SizeSink()
+    tracemalloc.start()
+    try:
+        table.to_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sink.sizes) > rows * 9 * 18  # nine cells of at least 18 bytes a row
+    return peak
+
+
+def test_memory_stays_flat_as_rows_grow():
+    to_csv_peak(10)  # the module and its lookup tables load outside the measurement
+    small, large = to_csv_peak(5_000), to_csv_peak(50_000)
+    assert large < 1.5 * small, (small, large)

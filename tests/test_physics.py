@@ -1,3 +1,4 @@
+import io
 import json
 import re
 from importlib.resources import files
@@ -485,7 +486,9 @@ class TestEnergySweep:
         # fig2_eps0 geometry on a grid that holds both flag values
         base = BarrierParams(0.5, 0.0, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
         table = energy_sweep(base, np.linspace(0.005, 0.1, 400), cross_check_every=0)
-        lines = table.to_csv().splitlines()
+        csv = io.BytesIO()
+        table.to_csv(csv)
+        lines = csv.getvalue().decode("ascii").splitlines()
         assert lines[0] == (
             "E_over_V0,p_up_single,p_dn_single,p_up_double,p_dn_double,"
             "q_low_single,q_up_single,q_low_double,q_up_double,superactivated"
