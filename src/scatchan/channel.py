@@ -98,10 +98,7 @@ def choi(ch: ErasureChannel) -> np.ndarray:
         for b in range(d):
             e_ab = np.zeros((d, d), dtype=complex)
             e_ab[a, b] = 1.0
-            block = np.zeros((d + 1, d + 1), dtype=complex)
-            block[:d, :d] = ch.m_op @ e_ab @ ch.m_op.conj().T
-            block[d, d] = (1.0 if a == b else 0.0) - np.trace(block[:d, :d])
-            j += np.kron(block, e_ab) / d
+            j += np.kron(apply(ch, e_ab), e_ab) / d
     return j
 
 

@@ -7,10 +7,10 @@ energy ratio Et sees wavenumber k = sqrt(Et); inside a barrier of relative
 height h the decay constant is kappa = sqrt(h - Et), continued to
 i*sqrt(Et - h) above the top.  One complex code path covers both regimes.
 
-Both routes to the transmission operator run on a whole energy grid at
-once and return the keys ``single`` and ``double``: the graph pipeline
-(:func:`pipeline_amplitudes`) contracts stacks of scattering matrices, one
-per energy, in chunks of at most PIPELINE_CHUNK energies; the closed form
+Both routes to the transmission operator run on an energy grid (one block
+of :func:`energy_sweep`'s grid) and return the keys ``single`` and
+``double``: the graph pipeline (:func:`pipeline_amplitudes`) contracts
+stacks of scattering matrices, one per energy; the closed form
 (:func:`closed_form_amplitudes`) gives the diagonals of its operators, and
 :func:`pipeline_gap` is the one comparison of the two.  The pipeline builds
 the double line as the paper's resonant concatenation: the contracted single
@@ -37,7 +37,7 @@ from .numerics import max_abs
 from .smatrix import UNITARITY_TOL, PortSpec, ScatteringMatrix
 
 PIPELINE_MATCH_TOL = 1e-9
-PIPELINE_CHUNK = 2048  # energies per contraction in pipeline_amplitudes
+PIPELINE_CHUNK = 2048  # most energies per pipeline call in energy_sweep
 RESONANT_DENOM_FLOOR = 1e-14
 
 
@@ -206,18 +206,12 @@ def pipeline_amplitudes(base: BarrierParams, energies) -> dict:
     first), one per energy; the whole operator is kept, so a spurious
     spin-mixing entry shows in a comparison with the diagonal closed form.
     Both lines come from one :func:`barrier_lines` call: one barrier stack,
-    one merge for the single line and one more for the double line.  A grid
-    longer than PIPELINE_CHUNK runs in chunks of at most that many
-    energies, which bounds the memory of the stacks; the rows do not depend
-    on the chunking.
+    one merge for the single line and one more for the double line, each
+    over the whole grid (:func:`energy_sweep` passes one block at a time).
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1:
         raise InvalidInputError("energies must be a 1-D sequence")
-    if energies.size > PIPELINE_CHUNK:
-        parts = [pipeline_amplitudes(base, chunk) for chunk in
-                 np.array_split(energies, -(-energies.size // PIPELINE_CHUNK))]
-        return {cfg: np.concatenate([part[cfg] for part in parts]) for cfg in parts[0]}
     return {
         cfg: transmission_operator(s, in_port=1, out_port=4)
         for cfg, s in barrier_lines(base, energies).items()
@@ -311,13 +305,17 @@ def energy_sweep(
     grid,
     cross_check_every: int = 100,
 ) -> SweepTable:
-    """Sweep the energy grid in one vectorized closed-form pass.
+    """Sweep the energy grid with the closed form in blocks of
+    PIPELINE_CHUNK * max(cross_check_every, 1) energies, written into
+    columns allocated once, so the temporaries stay one block long.
 
     Every ``cross_check_every``-th grid point is checked against the
-    graph-contraction pipeline by one :func:`pipeline_gap` call on exactly
-    the closed-form values the table holds; a gap above PIPELINE_MATCH_TOL
-    (or a NaN) raises InternalConsistencyError, as does a closed form that
-    fails its own resonance-floor or unit-amplitude check.
+    graph-contraction pipeline by one :func:`pipeline_gap` call per block
+    (each starts on a multiple of the stride, so at most PIPELINE_CHUNK
+    points) on exactly the closed-form values the table holds; a gap above
+    PIPELINE_MATCH_TOL (or a NaN) raises InternalConsistencyError, as does a
+    closed form that fails its own resonance-floor or unit-amplitude check
+    (naming the worst point of the first failing block).
     ``cross_check_every=0`` skips the pipeline; a negative or non-integer
     stride raises InvalidInputError.
     """
@@ -332,24 +330,28 @@ def energy_sweep(
     if not np.all(np.diff(energies) > 0):
         raise InvalidInputError("energy grid must be strictly increasing")
 
-    closed = closed_form_amplitudes(base, energies)
-    p = {cfg: np.abs(a) ** 2 for cfg, a in closed.items()}
+    stride = cross_check_every
+    block = PIPELINE_CHUNK * max(stride, 1)
+    for start in range(0, energies.size, block):
+        part = energies[start:start + block]
+        closed = closed_form_amplitudes(base, part)
+        if start == 0:  # allocated after the first block's temporaries: fewer page faults
+            p = {cfg: np.empty(energies.shape + (2,)) for cfg in closed}
+        for cfg, a in closed.items():
+            p[cfg][start:start + part.size] = np.abs(a) ** 2
+        if stride > 0:
+            checked = part[::stride]
+            gap = pipeline_gap(base, checked, {cfg: a[::stride] for cfg, a in closed.items()})
+            i = np.argmax(~(gap <= PIPELINE_MATCH_TOL))  # the first failing point, if any
+            if not gap[i] <= PIPELINE_MATCH_TOL:
+                raise InternalConsistencyError(
+                    f"closed-form/pipeline mismatch {gap[i]:.3e} at E/V0={checked[i]:.6f}")
+
     # Diagonal operators: |m_up|^2 and |m_dn|^2 are the singular probabilities.
     single, double = (
         CapacityBounds(np.stack((np.minimum(*p[cfg].T), np.maximum(*p[cfg].T)), axis=-1), 2)
         for cfg in ("single", "double")
     )
-
-    if cross_check_every > 0:
-        checked = energies[::cross_check_every]
-        gap = pipeline_gap(base, checked, {cfg: a[::cross_check_every]
-                                           for cfg, a in closed.items()})
-        bad = np.flatnonzero(~(gap <= PIPELINE_MATCH_TOL))
-        if bad.size:
-            i = bad[0]
-            raise InternalConsistencyError(
-                f"closed-form/pipeline mismatch {gap[i]:.3e} at E/V0={checked[i]:.6f}")
-
     return SweepTable(
         energies, *p["single"].T, *p["double"].T,
         single.q_low, single.q_up, double.q_low, double.q_up,

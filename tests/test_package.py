@@ -17,6 +17,11 @@ def test_exports_resolve_and_removed_names_are_gone():
         assert not hasattr(scatchan, name)
 
 
+def test_dir_lists_every_export():
+    # The exports load lazily; the package's __dir__ names the unloaded ones too.
+    assert set(scatchan.__all__) <= set(dir(scatchan))
+
+
 def test_stack_wrappers_are_gone():
     for name in ("row", "broadcast_to"):
         assert not hasattr(scatchan.ScatteringMatrix, name)

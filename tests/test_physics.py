@@ -1,6 +1,7 @@
 import io
 import json
 import re
+from dataclasses import fields
 from importlib.resources import files
 
 import numpy as np
@@ -325,24 +326,6 @@ class TestPipelineAmplitudes:
         pipeline_amplitudes(base, np.linspace(0.1, 0.9, 7))
         assert built == [(7, 1)]
 
-    def test_chunked_grid_matches_one_call(self, monkeypatch):
-        base = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
-        energies = np.linspace(0.005, 2.0, 200)
-        whole = pipeline_amplitudes(base, energies)
-        built = []
-        original = physics.barrier_coefficients
-
-        def counted(*args):
-            built.append(np.shape(args[0]))
-            return original(*args)
-
-        monkeypatch.setattr(physics, "barrier_coefficients", counted)
-        monkeypatch.setattr(physics, "PIPELINE_CHUNK", 64)
-        chunked = pipeline_amplitudes(base, energies)
-        assert built == [(50, 1)] * 4
-        for cfg in ("single", "double"):
-            assert np.array_equal(chunked[cfg], whole[cfg])
-
 
 class TestPipelineGraphs:
     """barrier_lines contracts the single line, then the double line as the
@@ -551,6 +534,63 @@ OPAQUE = {
     "separation": 21.77855853092082, "cross_check_every": 0,
     "grid": {"start": 0.4, "stop": 0.5, "points": 2},
 }
+
+
+class TestBlockWalk:
+    """energy_sweep walks its grid in blocks of PIPELINE_CHUNK * max(stride, 1)
+    energies, patched here to 4 so that a 50-point grid spans several."""
+
+    BASE = BarrierParams(1.0, 0.1, HALF_WIDTH_REF, SEPARATION_REF, 0.1)
+    GRID = np.linspace(0.005, 2.0, 50)
+
+    @staticmethod
+    def recorded(monkeypatch, name, wrap=None):
+        """Record the energies of every call of physics.<name>."""
+        calls, original = [], getattr(physics, name)
+
+        def recording(base, energies, *args):
+            calls.append(np.array(energies))
+            out = original(base, energies, *args)
+            return wrap(energies, out) if wrap else out
+
+        monkeypatch.setattr(physics, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("stride", [0, 1, 3, 7])
+    def test_blocks_rebuild_the_one_block_sweep(self, monkeypatch, stride):
+        whole = energy_sweep(self.BASE, self.GRID, cross_check_every=stride)
+        monkeypatch.setattr(physics, "PIPELINE_CHUNK", 4)
+        piped = self.recorded(monkeypatch, "pipeline_amplitudes")
+        closed = self.recorded(monkeypatch, "closed_form_amplitudes")
+        blocked = energy_sweep(self.BASE, self.GRID, cross_check_every=stride)
+        for column in fields(physics.SweepTable):
+            name = column.name
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+        assert all(e.size <= 4 for e in piped)
+        if stride:
+            assert np.array_equal(np.concatenate(piped), self.GRID[::stride])
+        else:
+            assert piped == []
+        assert all(e.size <= 4 * max(stride, 1) for e in closed)
+        assert len(closed) > 1 and np.array_equal(np.concatenate(closed), self.GRID)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_mismatch_in_the_third_block_names_its_point(self, monkeypatch, stride):
+        # The third block starts at 8 * stride; its second checked point is
+        # one stride further on.
+        target = self.GRID[9 * stride]
+
+        def mismatched(energies, piped):
+            # one spin-mixing entry of the double line, at the target only
+            shift = 1e-6 * (np.asarray(energies) == target)[:, None, None] * [[0, 1], [0, 0]]
+            return {**piped, "double": piped["double"] + shift}
+
+        monkeypatch.setattr(physics, "PIPELINE_CHUNK", 4)
+        piped = self.recorded(monkeypatch, "pipeline_amplitudes", mismatched)
+        with pytest.raises(InternalConsistencyError,
+                           match=f"mismatch 1.000e-06 at E/V0={target:.6f}$"):
+            energy_sweep(self.BASE, self.GRID, cross_check_every=stride)
+        assert len(piped) == 3 and target in piped[2]
 
 
 class TestLoudFailures:
